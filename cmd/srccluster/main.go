@@ -11,13 +11,14 @@
 //	srccluster -seeds 500      # wider sweep
 //	srccluster -seed 11 -v     # one seed, full counter detail
 //	srccluster -json           # violations as NDJSON (CI annotations)
-//	srccluster -supervised     # lifecycle via the crashable supervisor actor
+//	srccluster -supervised     # the control plane itself crashes too
 //
-// With -supervised the rebalance lifecycle runs through the journaling
-// supervisor actor instead of the harness, and each seed class composes
-// one control-plane fault on top of the data-plane chaos: supervisor
-// death mid-commit, node crash during repair during rebalance, or a
-// fail-slow head during a join.
+// Every run drives rebalances through the control-plane core the
+// supervisor daemon runs. With -supervised that core can itself crash and
+// is recovered from its journal, and each seed class composes one
+// control-plane fault on top of the data-plane chaos: supervisor death
+// mid-commit, node crash during repair during rebalance, or a fail-slow
+// head during a join.
 //
 // The default report is one summary line per seed plus aggregate latency
 // digests; exit status is 1 if any invariant was violated.
@@ -62,7 +63,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 		replicas = fs.Int("replicas", 0, "replication factor (default 3)")
 		asJSON   = fs.Bool("json", false, "emit violations as NDJSON instead of the report")
 		verbose  = fs.Bool("v", false, "full per-seed counters")
-		suprv    = fs.Bool("supervised", false, "drive the lifecycle through the crashable supervisor actor")
+		suprv    = fs.Bool("supervised", false, "crash and recover the control-plane core (composed supervisor faults)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err

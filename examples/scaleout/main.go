@@ -322,7 +322,7 @@ func runFleet(small bool) error {
 		if !ring.OwnedBy(rng, "beta") {
 			continue
 		}
-		if err := fl.RepairRange("beta", rng); err != nil {
+		if err := fl.RepairRange("beta", rng, nil); err != nil {
 			return fmt.Errorf("repair range %d: %w", rng, err)
 		}
 		base := int64(rng) * rangeBytes
@@ -422,12 +422,12 @@ func runSupervised(small bool) error {
 	supNode := func(id, addr string) supervisor.Node {
 		return supervisor.Node{
 			Member: cluster.Member{ID: id, Addr: addr},
-			Push: func(r *cluster.Ring, epoch uint64) error {
+			Push: func(t *cluster.Table) error {
 				n := nodes[id]
-				if err := n.chain.SetRing(r); err != nil {
+				if err := n.chain.SetTable(t); err != nil {
 					return err
 				}
-				n.srv.SetEpoch(epoch)
+				n.srv.SetEpoch(t.Epoch)
 				return nil
 			},
 		}

@@ -34,7 +34,8 @@ func newTestCluster(t *testing.T, nodes, replicas, ranges int) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewControl(n, ring)
+	drv := &simDriver{net: n}
+	ctrl, err := NewControl(ring, drv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +43,26 @@ func newTestCluster(t *testing.T, nodes, replicas, ranges int) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Stale = cli.Degraded
-	ctrl.OnMoved = func(m Move) { delete(cli.degraded, DegKey{m.Target, m.Range}) }
+	drv.client = cli
 	return &testCluster{net: n, ctrl: ctrl, client: cli}
+}
+
+func (tc *testCluster) node(id string) *Node { return tc.net.nodes[id] }
+
+// restart revives a killed node at the current epoch.
+func (tc *testCluster) restart(id string) {
+	tc.node(id).Restart()
+	tc.node(id).SetTable(tc.ctrl.Table())
+}
+
+// step ticks the core one move forward; the tick that streams the last
+// move also commits. Any held move or refused commit fails the test.
+func (tc *testCluster) step(t *testing.T) {
+	t.Helper()
+	r, err := tc.ctrl.Tick(1)
+	if err != nil || len(r.TargetDown)+len(r.Failed) > 0 || r.Refused != nil {
+		t.Fatalf("tick: %v %+v", err, r)
+	}
 }
 
 func (tc *testCluster) write(t *testing.T, off int64, p []byte) {
@@ -87,12 +105,12 @@ func TestClusterReplicasByteIdentical(t *testing.T) {
 	if len(owners) != 3 {
 		t.Fatalf("owners = %v", owners)
 	}
-	want, ok := tc.ctrl.Node(owners[0]).HashRange(0)
+	want, ok := tc.node(owners[0]).HashRange(0)
 	if !ok {
 		t.Fatal("head holds no data")
 	}
 	for _, id := range owners[1:] {
-		got, ok := tc.ctrl.Node(id).HashRange(0)
+		got, ok := tc.node(id).HashRange(0)
 		if !ok || got != want {
 			t.Fatalf("replica %s diverges after chain write", id)
 		}
@@ -104,7 +122,7 @@ func TestClusterReadFailsOverWhenHeadDies(t *testing.T) {
 	p := bytes.Repeat([]byte{7}, 1024)
 	tc.write(t, 0, p)
 	head := tc.ctrl.Table().Cur.Owners(0)[0]
-	tc.ctrl.Node(head).Kill()
+	tc.node(head).Kill()
 	tc.readBack(t, 0, p)
 	if s := tc.client.Stats(); s.Failovers == 0 {
 		t.Fatal("read served without recorded failover despite a dead head")
@@ -115,7 +133,7 @@ func TestClusterWriteSkipsDeadReplicaAndRepairHeals(t *testing.T) {
 	tc := newTestCluster(t, 3, 2, 4)
 	owners := tc.ctrl.Table().Cur.Owners(0)
 	tail := owners[1]
-	tc.ctrl.Node(tail).Kill()
+	tc.node(tail).Kill()
 
 	p := bytes.Repeat([]byte{9}, 2048)
 	tc.write(t, 0, p) // acks on the head alone
@@ -129,9 +147,7 @@ func TestClusterWriteSkipsDeadReplicaAndRepairHeals(t *testing.T) {
 
 	// Rejoin: restart resyncs the table; anti-entropy streams the range
 	// back until byte-identical, then lifts the quarantine.
-	if err := tc.ctrl.Restart(tail); err != nil {
-		t.Fatal(err)
-	}
+	tc.restart(tail)
 	healed, err := tc.client.Repair()
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +155,8 @@ func TestClusterWriteSkipsDeadReplicaAndRepairHeals(t *testing.T) {
 	if healed != 1 || tc.client.DegradedCount() != 0 {
 		t.Fatalf("Repair healed %d, %d still degraded", healed, tc.client.DegradedCount())
 	}
-	a, _ := tc.ctrl.Node(owners[0]).HashRange(0)
-	b, ok := tc.ctrl.Node(tail).HashRange(0)
+	a, _ := tc.node(owners[0]).HashRange(0)
+	b, ok := tc.node(tail).HashRange(0)
 	if !ok || a != b {
 		t.Fatal("rejoined replica not byte-identical after repair")
 	}
@@ -151,7 +167,7 @@ func TestClusterNoReplicaIsHardError(t *testing.T) {
 	p := []byte("xx")
 	tc.write(t, 0, p)
 	for _, id := range tc.ctrl.Table().Cur.Owners(0) {
-		tc.ctrl.Node(id).Kill()
+		tc.node(id).Kill()
 	}
 	if err := tc.client.ReadAt(make([]byte, 2), 0); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("read with all replicas dead = %v, want ErrNoReplica", err)
@@ -171,13 +187,8 @@ func TestClusterStaleEpochTriggersRefetch(t *testing.T) {
 	if err := tc.ctrl.BeginLeave(tc.ctrl.Table().Cur.Members()[3].ID); err != nil {
 		t.Fatal(err)
 	}
-	for len(tc.ctrl.PendingMoves()) > 0 {
-		if err := tc.ctrl.RebalanceStep(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tc.ctrl.Commit(); err != nil {
-		t.Fatal(err)
+	for tc.ctrl.Rebalancing() {
+		tc.step(t)
 	}
 	before := tc.client.Stats().Refetches
 	tc.readBack(t, 0, p)
@@ -209,9 +220,9 @@ func TestClusterReadsRouteAroundFailSlow(t *testing.T) {
 		t.Fatalf("Classified slow = %v", slow)
 	}
 
-	r0, _, _, _ := tc.ctrl.Node(owners[1]).Stats()
+	r0, _, _, _ := tc.node(owners[1]).Stats()
 	tc.readBack(t, 0, p)
-	r1, _, _, _ := tc.ctrl.Node(owners[1]).Stats()
+	r1, _, _, _ := tc.node(owners[1]).Stats()
 	if r1 != r0+1 {
 		t.Fatal("read did not route around the fail-slow head")
 	}
@@ -223,7 +234,7 @@ func TestClusterJoinRebalanceServesThroughout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.ctrl.Adopt(nd)
+	nd.SetTable(tc.ctrl.Table())
 
 	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
 	for rng := 0; rng < 8; rng++ {
@@ -243,17 +254,12 @@ func TestClusterJoinRebalanceServesThroughout(t *testing.T) {
 	}
 	// Serve while streaming: writes go to the union, reads stay on Cur.
 	step := 0
-	for len(tc.ctrl.PendingMoves()) > 0 {
-		if err := tc.ctrl.RebalanceStep(); err != nil {
-			t.Fatal(err)
-		}
+	for tc.ctrl.Rebalancing() {
+		tc.step(t)
 		rng := step % 8
 		tc.write(t, int64(rng)*4096, payload(byte(0x80+step)))
 		tc.readBack(t, int64(rng)*4096, payload(byte(0x80+step)))
 		step++
-	}
-	if err := tc.ctrl.Commit(); err != nil {
-		t.Fatal(err)
 	}
 	if tc.client.DegradedCount() != 0 {
 		t.Fatalf("%d copies still quarantined after commit", tc.client.DegradedCount())
@@ -261,9 +267,9 @@ func TestClusterJoinRebalanceServesThroughout(t *testing.T) {
 	// The new node now serves reads for the ranges it owns, byte-identical.
 	for rng := 0; rng < 8; rng++ {
 		owners := tc.ctrl.Table().Cur.Owners(rng)
-		want, _ := tc.ctrl.Node(owners[0]).HashRange(rng)
+		want, _ := tc.node(owners[0]).HashRange(rng)
 		for _, id := range owners[1:] {
-			got, ok := tc.ctrl.Node(id).HashRange(rng)
+			got, ok := tc.node(id).HashRange(rng)
 			if !ok || got != want {
 				t.Fatalf("range %d replica %s diverges after join", rng, id)
 			}
@@ -284,15 +290,10 @@ func TestClusterLeaveDrainsNode(t *testing.T) {
 	for _, mv := range tc.ctrl.PendingMoves() {
 		tc.client.MarkDegraded(mv.Target, mv.Range)
 	}
-	for len(tc.ctrl.PendingMoves()) > 0 {
-		if err := tc.ctrl.RebalanceStep(); err != nil {
-			t.Fatal(err)
-		}
+	for tc.ctrl.Rebalancing() {
+		tc.step(t)
 	}
-	if err := tc.ctrl.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	nd := tc.ctrl.Node(leaver)
+	nd := tc.node(leaver)
 	if !nd.Draining() {
 		t.Fatal("left node not draining")
 	}
@@ -315,7 +316,7 @@ func TestClusterWipeRestartRoundTripsThroughRepair(t *testing.T) {
 		tc.write(t, int64(rng)*4096, payloads[rng])
 	}
 	victim := tc.ctrl.Table().Cur.Members()[1].ID
-	tc.ctrl.Node(victim).Wipe()
+	tc.node(victim).Wipe()
 	for rng := 0; rng < 4; rng++ {
 		if tc.ctrl.Table().writeOwned(rng, victim) {
 			tc.client.MarkDegraded(victim, rng)
@@ -334,9 +335,9 @@ func TestClusterWipeRestartRoundTripsThroughRepair(t *testing.T) {
 	}
 	for rng := 0; rng < 4; rng++ {
 		owners := tc.ctrl.Table().Cur.Owners(rng)
-		want, _ := tc.ctrl.Node(owners[0]).HashRange(rng)
+		want, _ := tc.node(owners[0]).HashRange(rng)
 		for _, id := range owners[1:] {
-			got, ok := tc.ctrl.Node(id).HashRange(rng)
+			got, ok := tc.node(id).HashRange(rng)
 			if !ok || got != want {
 				t.Fatalf("range %d replica %s diverges after wipe+repair", rng, id)
 			}
@@ -370,7 +371,7 @@ func TestClusterUnreachableCostsVirtualTime(t *testing.T) {
 	tc := newTestCluster(t, 2, 2, 1)
 	tc.write(t, 0, []byte("t"))
 	head := tc.ctrl.Table().Cur.Owners(0)[0]
-	tc.ctrl.Node(head).Kill()
+	tc.node(head).Kill()
 	before := tc.net.Now()
 	tc.readBack(t, 0, []byte("t"))
 	if elapsed := tc.net.Now().Sub(before); elapsed < unreachableTimeout {

@@ -1,88 +1,151 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 )
 
-// Control is the (deliberately simple) control plane: it owns the
-// authoritative routing table, pushes epochs to nodes over an out-of-band
-// management path, and drives membership changes as explicit state-machine
-// steps so a chaos schedule can interleave failures with an in-flight
-// rebalance.
+// Control is the control plane's transition core: the one implementation of
+// the epoch-versioned membership protocol, shared by the churn simulation
+// and the real-TCP supervisor. It is deterministic and clock-free; the
+// driver it runs under supplies every observation (health, usable copies)
+// and every effect (journal writes, table pushes, range streams).
 //
 // A rebalance is a three-epoch transition. From stable epoch E:
 //
-//	E+1  transition — table carries Cur and Next; writes replicate to the
-//	     union, reads stay on Cur. Control streams each moved range from a
-//	     clean Cur owner to its new owner while both keep serving.
+//	E+1  transition — the table carries Cur and Next; nodes accept writes
+//	     for the Cur∪Next union and serve reads on Cur. The core streams
+//	     each moved range from a clean Cur owner to its new owner while
+//	     both keep serving.
 //	E+2  commit — Cur becomes Next; nodes drop ranges they no longer own.
+//	     Abort instead returns to the old placement at a fresh epoch.
 //
-// Stale is the control plane's view of which (node, range) copies must not
-// be used as stream sources — wired to the client's degraded tracking by
-// the harness. OnMoved fires after each range lands on its target with a
-// clean copy, letting the client clear the target's degraded mark.
+// Every table is journaled (SupJournal) before it is pushed, so a
+// successor recovering from the journal never finds a node holding an
+// epoch the journal does not record: it resumes a transition, finishes an
+// interrupted push, or aborts — it never re-decides.
 type Control struct {
-	net     *Net
-	nodes   map[string]*Node
+	d       Driver
 	table   *Table
 	pending []Move
+	decided *Table // a journaled commit/abort whose push never ran
+	held    int    // consecutive ticks without progress
+	dead    bool
 
-	// Stale reports whether a copy is unfit as a rebalance source. Nil
-	// means trust every copy.
-	Stale func(node string, rng int) bool
-	// OnMoved is called after a range is streamed to its target.
-	OnMoved func(m Move)
+	// Failpoint, when set, is consulted between journaling a decision and
+	// pushing it ("commit-push", "abort-push"). Returning true kills the
+	// core there, as a crash would; recovery from the journal finishes the
+	// push.
+	Failpoint func(point string) bool
 }
 
-// NewControl builds a control plane with an initial stable ring at epoch 1.
-// Every ring member must already be registered as a node.
-func NewControl(n *Net, ring *Ring) (*Control, error) {
-	c := &Control{net: n, nodes: make(map[string]*Node)}
-	for _, m := range ring.Members() {
-		nd := n.nodes[m.ID]
-		if nd == nil {
-			return nil, fmt.Errorf("cluster: ring member %q has no node", m.ID)
-		}
-		c.nodes[m.ID] = nd
+// Driver is what the core needs from the world it runs in. Methods are
+// called synchronously from the core's own calls.
+type Driver interface {
+	// Persist writes an encoded journal record durably.
+	Persist(data []byte) error
+	// Push installs a table on every node the driver manages. Nodes it
+	// cannot reach catch up later (the driver's re-push or restart path).
+	Push(t *Table)
+	// Stream copies range mv.Range onto mv.Target from a clean Cur owner
+	// of t. An error leaves the move pending.
+	Stream(t *Table, mv Move) error
+	// Registered reports whether the driver can manage node id.
+	Registered(id string) bool
+	// Healthy reports whether id can act in a transition now: alive,
+	// answering, and not departing.
+	Healthy(id string) bool
+	// Usable reports whether id holds a clean copy of rng reads may trust.
+	Usable(id string, rng int) bool
+	// Written reports whether rng may hold acknowledged data.
+	Written(rng int) bool
+	// Quarantine marks a copy that must pass a verified repair before it
+	// serves reads — the commit catch-up for moved copies.
+	Quarantine(k DegKey)
+}
+
+// Tuning shared by both drivers.
+const (
+	// DefaultStepsPerTick is how many moves one Tick streams.
+	DefaultStepsPerTick = 2
+	// AbortAfterHeldTicks is how many consecutive ticks without progress a
+	// transition survives before the core aborts it.
+	AbortAfterHeldTicks = 16
+)
+
+// ErrControlCrashed is returned once a Failpoint has killed the core.
+var ErrControlCrashed = errors.New("cluster: control plane crashed at failpoint")
+
+// Recovery names what RecoverControl did with the journal it found.
+type Recovery int
+
+const (
+	RecoveredStable Recovery = iota // re-pushed the committed table
+	RecoveredResume                 // resumed an in-flight transition
+	RecoveredAbort                  // aborted a transition it cannot resume
+	RecoveredPush                   // finished an interrupted commit/abort push
+)
+
+// Report is what one Tick did, for the driver's holds and counters.
+type Report struct {
+	TargetDown []Move // re-queued: the target was not healthy
+	Failed     []Move // re-queued: the stream failed
+	Refused    error  // the commit guard's refusal, when every move streamed
+	Committed  bool
+	Aborted    bool
+}
+
+// NewControl starts a core at a stable ring, epoch 1, journaling and
+// pushing it.
+func NewControl(ring *Ring, d Driver) (*Control, error) {
+	c := &Control{d: d, table: &Table{Epoch: 1, Cur: ring}}
+	if err := c.record(c.table, nil, SupStable); err != nil {
+		return nil, err
 	}
-	c.table = &Table{Epoch: 1, Cur: ring}
-	c.push()
+	d.Push(c.table)
 	return c, nil
 }
 
-// Table returns the current routing table — what clients fetch, including
-// after an ErrStaleEpoch rejection.
+// RecoverControl rebuilds a core from an encoded journal. A stable journal
+// is re-pushed; a transition resumes (re-pushing its table) unless its
+// target placement names a node the driver cannot manage, in which case it
+// aborts at a fresh epoch; a push journal finishes installing the decided
+// table and re-quarantines the moved copies it records.
+func RecoverControl(data []byte, d Driver) (*Control, Recovery, error) {
+	j, err := DecodeSupJournal(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	t, pending, err := j.Table()
+	if err != nil {
+		return nil, 0, err
+	}
+	c := &Control{d: d, table: t, pending: pending}
+	switch j.Phase {
+	case SupPush:
+		c.decided = t
+		return c, RecoveredPush, c.finish(pending)
+	case SupTransition:
+		for _, m := range t.Next.Members() {
+			if !d.Registered(m.ID) {
+				return c, RecoveredAbort, c.Abort()
+			}
+		}
+		d.Push(t)
+		return c, RecoveredResume, nil
+	default:
+		d.Push(t)
+		return c, RecoveredStable, nil
+	}
+}
+
+// Table returns the current routing table — the last one pushed.
 func (c *Control) Table() *Table { return c.table }
 
-// Adopt registers a spare node with the control plane so a later Join can
-// pull it into the ring (and so Restart can re-push tables to it).
-func (c *Control) Adopt(nd *Node) {
-	c.nodes[nd.id] = nd
-	nd.SetTable(c.table)
-}
-
-// push installs the current table on every alive node. Dead nodes miss the
-// epoch; Restart re-pushes before they serve again, and their stale epoch
-// rejects any request in between.
-func (c *Control) push() {
-	for _, nd := range c.nodes {
-		if nd.alive {
-			nd.SetTable(c.table)
-		}
-	}
-}
-
-// Restart revives a killed node and resynchronizes its routing table —
-// the node rejoins at the current epoch, with whatever data it kept.
-func (c *Control) Restart(id string) error {
-	nd := c.nodes[id]
-	if nd == nil {
-		return fmt.Errorf("cluster: unknown node %q", id)
-	}
-	nd.Restart()
-	nd.SetTable(c.table)
-	return nil
-}
+// Decided returns a commit or abort that was journaled but never pushed
+// (the core died at a failpoint), or nil. Recovery will install it, so
+// guards must already protect its owners.
+func (c *Control) Decided() *Table { return c.decided }
 
 // Rebalancing reports whether a membership transition is in flight.
 func (c *Control) Rebalancing() bool { return !c.table.Stable() }
@@ -90,14 +153,16 @@ func (c *Control) Rebalancing() bool { return !c.table.Stable() }
 // PendingMoves returns the transfers the in-flight rebalance still owes.
 func (c *Control) PendingMoves() []Move { return append([]Move(nil), c.pending...) }
 
-// BeginJoin starts pulling member m into the ring. The node must already
-// be adopted and alive.
+// BeginJoin starts pulling registered member m into the ring.
 func (c *Control) BeginJoin(m Member) error {
+	if !c.d.Registered(m.ID) {
+		return fmt.Errorf("cluster: joining node %q not registered", m.ID)
+	}
 	next, err := c.table.Cur.WithJoin(m)
 	if err != nil {
 		return err
 	}
-	return c.begin(next, m.ID)
+	return c.begin(next)
 }
 
 // BeginLeave starts a graceful departure: id keeps serving while its
@@ -107,126 +172,180 @@ func (c *Control) BeginLeave(id string) error {
 	if err != nil {
 		return err
 	}
-	return c.begin(next, "")
+	return c.begin(next)
 }
 
-func (c *Control) begin(next *Ring, joining string) error {
+func (c *Control) begin(next *Ring) error {
+	if c.dead {
+		return ErrControlCrashed
+	}
 	if c.Rebalancing() {
 		return fmt.Errorf("cluster: rebalance already in flight")
 	}
-	if joining != "" {
-		nd := c.nodes[joining]
-		if nd == nil {
-			return fmt.Errorf("cluster: joining node %q not adopted", joining)
-		}
-		if !nd.alive {
-			return fmt.Errorf("cluster: joining node %q is down", joining)
-		}
+	t := &Table{Epoch: c.table.Epoch + 1, Cur: c.table.Cur, Next: next}
+	pending := Moves(t.Cur, next)
+	if err := c.record(t, pending, SupTransition); err != nil {
+		return err
 	}
-	c.table = &Table{Epoch: c.table.Epoch + 1, Cur: c.table.Cur, Next: next}
-	c.pending = Moves(c.table.Cur, next)
-	c.push()
+	c.table, c.pending, c.held = t, pending, 0
+	c.d.Push(t)
 	return nil
 }
 
-// RebalanceStep streams the next pending range to its new owner, charging
-// the data path (source link out, target link in) for the full range. A
-// step whose target is unreachable re-queues the move at the back and
-// reports the failure so the schedule can heal or abort; a range with no
-// data anywhere (never written) completes trivially.
-func (c *Control) RebalanceStep() error {
-	if len(c.pending) == 0 {
-		return fmt.Errorf("cluster: no pending moves")
+// Tick advances an in-flight transition: stream up to steps pending moves
+// (journaling after each), commit once none remain and the commit guard
+// passes, and abort after AbortAfterHeldTicks ticks without progress. A
+// move whose target is unhealthy or whose stream fails goes to the back of
+// the queue.
+func (c *Control) Tick(steps int) (Report, error) {
+	var r Report
+	if c.dead {
+		return r, ErrControlCrashed
 	}
-	mv := c.pending[0]
-	c.pending = c.pending[1:]
-
-	// Pick the stream source: a live, reachable Cur owner holding a copy
-	// the client has not quarantined. Streaming from a degraded copy would
-	// install stale bytes on the target while OnMoved marks it clean — the
-	// exact corruption anti-entropy exists to prevent.
-	var src *Node
-	hasData := false
-	for _, id := range c.table.Cur.Owners(mv.Range) {
-		nd := c.nodes[id]
-		if nd == nil {
-			continue
-		}
-		if _, ok := nd.HashRange(mv.Range); !ok {
-			continue
-		}
-		hasData = true
-		if !nd.alive || !c.net.Reachable(mv.Target, id) {
-			continue
-		}
-		if c.Stale != nil && c.Stale(id, mv.Range) {
-			continue
-		}
-		src = nd
-		break
+	if !c.Rebalancing() {
+		return r, nil
 	}
-	tgt := c.nodes[mv.Target]
-	if tgt == nil || !tgt.alive {
-		c.pending = append(c.pending, mv)
-		return fmt.Errorf("cluster: move target %q down", mv.Target)
-	}
-	if src == nil {
-		if hasData {
-			// The range is written but every copy is dead, unreachable, or
-			// quarantined right now. "No clean source" must not be read as
-			// "never written" — requeue and stream once a copy recovers.
+	progressed := false
+	for i := 0; i < steps && len(c.pending) > 0; i++ {
+		mv := c.pending[0]
+		c.pending = c.pending[1:]
+		if !c.d.Healthy(mv.Target) {
 			c.pending = append(c.pending, mv)
-			return fmt.Errorf("cluster: no clean source for range %d", mv.Range)
+			r.TargetDown = append(r.TargetDown, mv)
+			break
 		}
-		// No owner holds data: the range was never written, so there is
-		// nothing to stream and the target is trivially complete.
-		if c.OnMoved != nil {
-			c.OnMoved(mv)
+		if err := c.d.Stream(c.table, mv); err != nil {
+			c.pending = append(c.pending, mv)
+			r.Failed = append(r.Failed, mv)
+			continue
 		}
-		return nil
+		progressed = true
+		if err := c.record(c.table, c.pending, SupTransition); err != nil {
+			return r, err
+		}
 	}
-	data := src.rangeCopy(mv.Range)
-	c.net.reply(src.id, int64(len(data)))
-	if _, err := c.net.hop(src.id, mv.Target, int64(len(data))); err != nil {
-		c.pending = append(c.pending, mv)
-		return fmt.Errorf("cluster: streaming range %d to %q: %w", mv.Range, mv.Target, err)
+	if len(c.pending) == 0 {
+		if r.Refused = c.CommitGuard(); r.Refused == nil {
+			err := c.commit()
+			r.Committed = err == nil
+			return r, err
+		}
 	}
-	tgt.ApplyRange(mv.Range, data)
-	if c.OnMoved != nil {
-		c.OnMoved(mv)
+	if progressed {
+		c.held = 0
+		return r, nil
 	}
-	return nil
+	if c.held++; c.held > AbortAfterHeldTicks {
+		err := c.Abort()
+		r.Aborted = err == nil
+		return r, err
+	}
+	return r, nil
 }
 
-// Commit finishes the rebalance: every move must have streamed. The new
-// placement becomes Cur and nodes drop ranges they no longer own.
-func (c *Control) Commit() error {
+// CommitGuard is the one commit-safety rule, returning why the in-flight
+// transition may not commit yet (nil: it may). Every move must have
+// streamed; every Next member must be healthy and staying; and every
+// written range must keep a usable Next owner that is not a move target
+// of this transition — commit quarantines the moved copies for catch-up,
+// so a range served only by them would have no clean copy left.
+func (c *Control) CommitGuard() error {
 	if !c.Rebalancing() {
 		return fmt.Errorf("cluster: no rebalance to commit")
 	}
 	if len(c.pending) > 0 {
 		return fmt.Errorf("cluster: %d moves still pending", len(c.pending))
 	}
-	c.table = &Table{Epoch: c.table.Epoch + 1, Cur: c.table.Next}
-	c.pending = nil
-	c.push()
+	next := c.table.Next
+	for _, m := range next.Members() {
+		if !c.d.Healthy(m.ID) {
+			return fmt.Errorf("cluster: next member %q not healthy", m.ID)
+		}
+	}
+	moved := make(map[DegKey]bool)
+	for _, mv := range Moves(c.table.Cur, next) {
+		moved[DegKey{mv.Target, mv.Range}] = true
+	}
+	for rng := 0; rng < next.Ranges; rng++ {
+		if !c.d.Written(rng) {
+			continue
+		}
+		ok := false
+		for _, id := range next.Owners(rng) {
+			if !moved[DegKey{id, rng}] && c.d.Usable(id, rng) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return fmt.Errorf("cluster: range %d keeps no usable unmoved owner under the next placement", rng)
+		}
+	}
 	return nil
+}
+
+// Commit finishes the rebalance once the commit guard passes: the new
+// placement becomes Cur at a fresh epoch and every moved copy is
+// quarantined until a verified repair confirms it.
+func (c *Control) Commit() error {
+	if c.dead {
+		return ErrControlCrashed
+	}
+	if err := c.CommitGuard(); err != nil {
+		return err
+	}
+	return c.commit()
+}
+
+func (c *Control) commit() error {
+	t := &Table{Epoch: c.table.Epoch + 1, Cur: c.table.Next}
+	return c.decide(t, Moves(c.table.Cur, c.table.Next), "commit-push")
 }
 
 // Abort cancels an in-flight rebalance, returning to the old placement at
 // a fresh epoch. Ranges already streamed stay on their targets as garbage
-// until some later transition or drop — harmless, since the old ring never
-// routes to them.
+// the old ring never routes to.
 func (c *Control) Abort() error {
+	if c.dead {
+		return ErrControlCrashed
+	}
 	if !c.Rebalancing() {
 		return fmt.Errorf("cluster: no rebalance to abort")
 	}
-	c.table = &Table{Epoch: c.table.Epoch + 1, Cur: c.table.Cur}
-	c.pending = nil
-	c.push()
-	return nil
+	return c.decide(&Table{Epoch: c.table.Epoch + 1, Cur: c.table.Cur}, nil, "abort-push")
 }
 
-// Node returns a registered node by ID (nil if unknown) — the harness uses
-// it to drive kills and restarts.
-func (c *Control) Node(id string) *Node { return c.nodes[id] }
+// decide journals a commit or abort as a push record, then installs it —
+// unless the failpoint kills the core in between, leaving the push to
+// recovery.
+func (c *Control) decide(t *Table, moved []Move, point string) error {
+	if err := c.record(t, moved, SupPush); err != nil {
+		return err
+	}
+	c.decided = t
+	if c.Failpoint != nil && c.Failpoint(point) {
+		c.dead = true
+		return ErrControlCrashed
+	}
+	return c.finish(moved)
+}
+
+// finish installs the decided table, quarantines the moved copies, and
+// journals the stable state. Re-running it is idempotent.
+func (c *Control) finish(moved []Move) error {
+	c.table, c.pending, c.decided, c.held = c.decided, nil, nil, 0
+	c.d.Push(c.table)
+	for _, mv := range moved {
+		c.d.Quarantine(DegKey{mv.Target, mv.Range})
+	}
+	return c.record(c.table, nil, SupStable)
+}
+
+// record encodes and persists one journal record.
+func (c *Control) record(t *Table, pending []Move, phase SupPhase) error {
+	data, err := SnapshotSupJournal(t, pending, phase).Encode()
+	if err != nil {
+		return err
+	}
+	return c.d.Persist(data)
+}

@@ -32,11 +32,16 @@ const repairChunk = 256 << 10
 
 // ChainBackend wraps a node's local storage with chain forwarding: a write
 // (or trim) is applied locally and then pushed to the next owner after this
-// node's own position in the range's replica chain, which forwards onward in
+// node's own position in the range's write chain, which forwards onward in
 // turn — so a client write to the chain head replicates through the whole
 // chain before the head's reply. The node derives its chain position from
-// the ring and its own ID, so the wire protocol needs no chain field and any
-// plain netblock client can address any replica.
+// its routing table and its own ID, so the wire protocol needs no chain
+// field and any plain netblock client can address any replica.
+//
+// The table is the control plane's, transition epochs included: while it
+// carries a Next placement, writes and trims are accepted and forwarded
+// along the Cur∪Next write chain (Table.WriteOwners) and reads are served
+// only for Cur ranges — the protocol cluster.Node implements.
 //
 // Forwarding failures are counted, not fatal: a dead successor must not fail
 // the write (the head's copy is the acknowledged one), and anti-entropy
@@ -47,7 +52,7 @@ type ChainBackend struct {
 	opts  netblock.ClientOptions
 
 	mu    sync.Mutex
-	ring  *cluster.Ring
+	table *cluster.Table
 	conns map[string]*netblock.Client
 
 	forwards    atomic.Int64
@@ -76,29 +81,40 @@ func NewChainBackend(local netblock.Backend, self string, ring *cluster.Ring, op
 		local: local,
 		self:  self,
 		opts:  opts,
-		ring:  ring,
+		table: &cluster.Table{Cur: ring},
 		conns: make(map[string]*netblock.Client),
 	}, nil
 }
 
-// Ring returns the placement the backend currently forwards by.
-func (b *ChainBackend) Ring() *cluster.Ring {
+// current returns the routing table the backend serves by.
+func (b *ChainBackend) current() *cluster.Table {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.ring
+	return b.table
 }
 
-// SetRing installs a new placement (a committed membership change). The
-// volume geometry must not change; only ownership may move.
+// Ring returns the current placement (the table's Cur).
+func (b *ChainBackend) Ring() *cluster.Ring { return b.current().Cur }
+
+// SetRing installs a stable placement (a committed membership change).
 func (b *ChainBackend) SetRing(ring *cluster.Ring) error {
-	if ring == nil {
+	return b.SetTable(&cluster.Table{Cur: ring})
+}
+
+// SetTable installs a routing table pushed by the control plane — stable
+// or transition. The volume geometry must not change; only ownership may
+// move.
+func (b *ChainBackend) SetTable(t *cluster.Table) error {
+	if t == nil || t.Cur == nil {
 		return fmt.Errorf("fleet: nil ring")
 	}
-	if ring.Size() != b.local.Size() {
-		return fmt.Errorf("fleet: ring volume %d != backend size %d", ring.Size(), b.local.Size())
+	for _, r := range []*cluster.Ring{t.Cur, t.Next} {
+		if r != nil && r.Size() != b.local.Size() {
+			return fmt.Errorf("fleet: ring volume %d != backend size %d", r.Size(), b.local.Size())
+		}
 	}
 	b.mu.Lock()
-	b.ring = ring
+	b.table = t
 	b.mu.Unlock()
 	return nil
 }
@@ -110,12 +126,12 @@ func (b *ChainBackend) Forwards() (ok, failed int64) {
 }
 
 // ReadAt serves locally — reads never traverse the chain — but only when
-// this node may: a ring member that does not own the requested extent
-// refuses with the stale-epoch marker, so a client routed by an outdated
-// table refetches instead of consuming bytes the current chain no longer
-// maintains here. Spares (nodes absent from the ring) serve everything:
-// rebalance bootstrap and repair traffic address them directly before any
-// committed ring includes them.
+// this node may: a table member that does not own the requested extent in
+// Cur refuses with the stale-epoch marker, so a client routed by an
+// outdated table refetches instead of consuming bytes the current chain no
+// longer maintains here (or a joiner's copy not yet committed). Spares
+// (nodes absent from the table) serve everything: direct streaming and
+// repair traffic may address them before any table includes them.
 func (b *ChainBackend) ReadAt(p []byte, off int64) error {
 	if err := b.refuseStale("read", off, int64(len(p))); err != nil {
 		return err
@@ -123,32 +139,46 @@ func (b *ChainBackend) ReadAt(p []byte, off int64) error {
 	return b.local.ReadAt(p, off)
 }
 
-// refuseStale rejects an operation addressed to a ring member that does
-// not own the extent — the server side of the staleepoch contract, the
-// real-transport twin of the simulation's Node.checkEpoch. Only members
-// refuse: a spare (absent from the ring) must keep serving rebalance
-// bootstrap and repair traffic addressed to it directly.
+// refuseStale rejects an operation addressed to a table member outside the
+// extent's owners — Cur for reads, Cur∪Next for writes and trims. It is
+// the server side of the staleepoch contract, the real-transport twin of
+// the simulation's Node.handleWrite/handleRead checks. Only members refuse.
 func (b *ChainBackend) refuseStale(verb string, off, n int64) error {
-	ring := b.Ring()
-	if _, member := ring.Member(b.self); member && !b.ownsExtent(ring, off, n) {
+	t := b.current()
+	if _, member := t.Member(b.self); member && !b.ownsExtent(t, verb == "read", off, n) {
 		return fmt.Errorf("fleet: %s: %s [%d,%d) not owned by %s",
 			netblock.StaleEpochText, verb, off, off+n, b.self)
 	}
 	return nil
 }
 
-// ownsExtent reports whether self is in the replica chain of every range
-// the extent touches.
-func (b *ChainBackend) ownsExtent(ring *cluster.Ring, off, n int64) bool {
+// ownsExtent reports whether self owns every range the extent touches.
+func (b *ChainBackend) ownsExtent(t *cluster.Table, read bool, off, n int64) bool {
 	end := off + n
 	for off < end {
-		rng := ring.RangeOf(off)
-		if !ring.OwnedBy(rng, b.self) {
+		rng := t.Cur.RangeOf(off)
+		var owners []string
+		if read {
+			owners = t.ReadOwners(rng)
+		} else {
+			owners = t.WriteOwners(rng)
+		}
+		if chainPos(owners, b.self) < 0 {
 			return false
 		}
-		off = (int64(rng) + 1) * ring.RangeBytes
+		off = (int64(rng) + 1) * t.Cur.RangeBytes
 	}
 	return true
+}
+
+// chainPos returns id's index in owners, or -1.
+func chainPos(owners []string, id string) int {
+	for i, o := range owners {
+		if o == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Size reports the local volume size.
@@ -205,18 +235,18 @@ func (b *ChainBackend) Trim(off, n int64) error {
 }
 
 // forward splits [off, off+n) on range boundaries and pushes each piece to
-// the next owner after this node's own chain position. send performs the
-// piece-shaped operation on a successor's connection.
+// the next owner after this node's own write-chain position. send performs
+// the piece-shaped operation on a successor's connection.
 func (b *ChainBackend) forward(off, n int64, send func(c *netblock.Client, off, n int64) error) {
-	ring := b.Ring()
+	t := b.current()
 	end := off + n
 	for off < end {
-		rng := ring.RangeOf(off)
-		stop := (int64(rng) + 1) * ring.RangeBytes
+		rng := t.Cur.RangeOf(off)
+		stop := (int64(rng) + 1) * t.Cur.RangeBytes
 		if stop > end {
 			stop = end
 		}
-		b.forwardPiece(ring, rng, off, stop-off, send)
+		b.forwardPiece(t, rng, off, stop-off, send)
 		off = stop
 	}
 }
@@ -225,22 +255,16 @@ func (b *ChainBackend) forward(off, n int64, send func(c *netblock.Client, off, 
 // the chain. Skipping a dead successor and trying the next mirrors the
 // simulation's handleWrite: the chain routes around fail-stop members and
 // the skipped copy is repair's problem.
-func (b *ChainBackend) forwardPiece(ring *cluster.Ring, rng int, off, n int64, send func(c *netblock.Client, off, n int64) error) {
-	owners := ring.Owners(rng)
-	pos := -1
-	for i, id := range owners {
-		if id == b.self {
-			pos = i
-			break
-		}
-	}
+func (b *ChainBackend) forwardPiece(t *cluster.Table, rng int, off, n int64, send func(c *netblock.Client, off, n int64) error) {
+	owners := t.WriteOwners(rng)
+	pos := chainPos(owners, b.self)
 	if pos < 0 || pos+1 >= len(owners) {
 		// Not an owner (a direct write outside our chain — repair traffic,
 		// or a spare warming up) or the tail: nothing to forward.
 		return
 	}
 	for _, id := range owners[pos+1:] {
-		c, err := b.conn(ring, id)
+		c, err := b.conn(t, id)
 		if err != nil {
 			continue
 		}
@@ -255,14 +279,14 @@ func (b *ChainBackend) forwardPiece(ring *cluster.Ring, rng int, off, n int64, s
 }
 
 // conn returns the cached connection to a peer, dialing on first use.
-func (b *ChainBackend) conn(ring *cluster.Ring, id string) (*netblock.Client, error) {
+func (b *ChainBackend) conn(t *cluster.Table, id string) (*netblock.Client, error) {
 	b.mu.Lock()
 	c := b.conns[id]
 	b.mu.Unlock()
 	if c != nil {
 		return c, nil
 	}
-	m, ok := ring.Member(id)
+	m, ok := t.Member(id)
 	if !ok {
 		return nil, fmt.Errorf("fleet: no address for member %q", id)
 	}
@@ -639,7 +663,8 @@ func (f *Fleet) tryOwners(rng int, op func(c *netblock.Client) error) error {
 }
 
 // RepairRange streams range rng onto node id from the first other owner
-// that answers, then reads it back and verifies byte identity — the real
+// that answers and that stale does not veto (nil trusts every copy), then
+// reads it back and verifies byte identity — the real
 // path's anti-entropy step after a wipe or missed write. The write goes
 // straight to the target (which forwards nothing useful: repair traffic is
 // addressed below its chain position or outside the chain entirely). Repair
@@ -649,21 +674,9 @@ func (f *Fleet) tryOwners(rng int, op func(c *netblock.Client) error) error {
 // the wrong placement.
 //
 //srclint:surfaces staleepoch
-func (f *Fleet) RepairRange(id string, rng int) error {
+func (f *Fleet) RepairRange(id string, rng int, stale func(node string, rng int) bool) error {
 	ring := f.Ring()
-	var src *netblock.Client
-	var srcID string
-	for _, o := range ring.Owners(rng) {
-		if o == id {
-			continue
-		}
-		c, err := f.conn(ring, o)
-		if err != nil {
-			continue
-		}
-		src, srcID = c, o
-		break
-	}
+	src, srcID := f.source(ring, rng, id, stale)
 	if src == nil {
 		return fmt.Errorf("fleet: repair range %d on %s: no source replica", rng, id)
 	}
@@ -696,7 +709,7 @@ func (f *Fleet) Rebalance(old, next *cluster.Ring) error {
 		return fmt.Errorf("fleet: rebalance changes volume size %d -> %d", old.Size(), next.Size())
 	}
 	for _, mv := range cluster.Moves(old, next) {
-		if err := f.StreamMove(old, next, mv); err != nil {
+		if err := f.StreamMove(old, next, mv, nil); err != nil {
 			return err
 		}
 	}
@@ -704,28 +717,16 @@ func (f *Fleet) Rebalance(old, next *cluster.Ring) error {
 }
 
 // StreamMove streams one pending move — range mv.Range from a serving old
-// owner to mv.Target, which may be a fresh member only the next ring can
-// address. It is the single step a supervisor journals around: after each
+// owner that stale does not veto (nil trusts every copy) to mv.Target,
+// which may be a fresh member only the next ring can address. It is the single step a supervisor journals around: after each
 // StreamMove the pending set shrinks by one, so a supervisor crash between
 // steps re-streams at most the move in flight (idempotent — same bytes at
 // the same offsets). Stale-epoch refusals surface for the same reason
 // Rebalance's do.
 //
 //srclint:surfaces staleepoch
-func (f *Fleet) StreamMove(old, next *cluster.Ring, mv cluster.Move) error {
-	var src *netblock.Client
-	var srcID string
-	for _, o := range old.Owners(mv.Range) {
-		if o == mv.Target {
-			continue
-		}
-		c, err := f.conn(old, o)
-		if err != nil {
-			continue
-		}
-		src, srcID = c, o
-		break
-	}
+func (f *Fleet) StreamMove(old, next *cluster.Ring, mv cluster.Move, stale func(node string, rng int) bool) error {
+	src, srcID := f.source(old, mv.Range, mv.Target, stale)
 	if src == nil {
 		return fmt.Errorf("fleet: rebalance range %d: no source among old owners", mv.Range)
 	}
@@ -739,6 +740,22 @@ func (f *Fleet) StreamMove(old, next *cluster.Ring, mv cluster.Move) error {
 	}
 	f.repairs.Add(1)
 	return nil
+}
+
+// source picks the copy a repair or move streams from: the first owner of
+// rng in ring other than target that dials and that stale does not veto.
+// A quarantined copy may hold stale bytes, and streaming it would install
+// them as clean.
+func (f *Fleet) source(ring *cluster.Ring, rng int, target string, stale func(node string, rng int) bool) (*netblock.Client, string) {
+	for _, o := range ring.Owners(rng) {
+		if o == target || (stale != nil && stale(o, rng)) {
+			continue
+		}
+		if c, err := f.conn(ring, o); err == nil {
+			return c, o
+		}
+	}
+	return nil, ""
 }
 
 // stream copies [base, base+n) from src to tgt in bounded chunks. Reads

@@ -255,7 +255,7 @@ func TestFleetRepairAfterWipeRestart(t *testing.T) {
 		if !ring.OwnedBy(rng, "b") {
 			continue
 		}
-		if err := fl.RepairRange("b", rng); err != nil {
+		if err := fl.RepairRange("b", rng, nil); err != nil {
 			t.Fatalf("repair range %d: %v", rng, err)
 		}
 		if got := backendRange(t, nodes["b"], rng); !bytes.Equal(got, rangeSlice(model, rng)) {
@@ -565,5 +565,104 @@ func TestFleetStaleEpochRefetch(t *testing.T) {
 	}
 	if !bytes.Equal(got[:64], patch) {
 		t.Fatalf("write after refetch missed new owner %s", owner)
+	}
+}
+
+// TestFleetSourcesSkipQuarantinedCopies: a copy the stale veto names is
+// never streamed from, even when it is first in owner order and answers.
+func TestFleetSourcesSkipQuarantinedCopies(t *testing.T) {
+	nodes, ring, fl := startFleet(t, []string{"a", "b", "c"}, 3)
+	model := fill(t, fl, ring, 13)
+	junk := bytes.Repeat([]byte{0xBD}, int(tRangeBytes))
+	poison := func(id string, rng int) {
+		t.Helper()
+		if err := nodes[id].back.WriteAt(junk, int64(rng)*tRangeBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Repair: the first owner holds stale bytes and is quarantined; the
+	// last owner is wiped and must heal from the middle one.
+	const rng = 0
+	owners := ring.Owners(rng)
+	poison(owners[0], rng)
+	if err := nodes[owners[2]].back.WriteAt(make([]byte, tRangeBytes), 0); err != nil {
+		t.Fatal(err)
+	}
+	veto := func(node string, r int) bool { return node == owners[0] && r == rng }
+	if err := fl.RepairRange(owners[2], rng, veto); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(backendRange(t, nodes[owners[2]], rng), rangeSlice(model, rng)) {
+		t.Fatal("repair streamed from the quarantined copy")
+	}
+
+	// Move: a joiner's first streamed range skips a quarantined old owner.
+	spare := startNode(t, "d", ring)
+	next, err := ring.WithJoin(cluster.Member{ID: "d", Addr: spare.addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := cluster.Moves(ring, next)
+	if len(moves) == 0 {
+		t.Fatal("join moved nothing")
+	}
+	mv := moves[0]
+	first := ring.Owners(mv.Range)[0]
+	poison(first, mv.Range)
+	if err := fl.StreamMove(ring, next, mv, func(node string, r int) bool { return node == first && r == mv.Range }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(backendRange(t, spare, mv.Range), rangeSlice(model, mv.Range)) {
+		t.Fatal("move streamed from the quarantined copy")
+	}
+}
+
+// TestChainBackendTransitionTable: under a transition table a Next-only
+// owner accepts writes (directly and forwarded down the Cur∪Next chain)
+// but refuses reads until the commit makes it a Cur owner.
+func TestChainBackendTransitionTable(t *testing.T) {
+	nodes, ring, fl := startFleet(t, []string{"a", "b", "c"}, 2)
+	spare := startNode(t, "d", ring)
+	nodes["d"] = spare
+	next, err := ring.WithJoin(cluster.Member{ID: "d", Addr: spare.addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := cluster.Moves(ring, next)
+	if len(moves) == 0 {
+		t.Fatal("join moved nothing")
+	}
+	trans := &cluster.Table{Epoch: 2, Cur: ring, Next: next}
+	for _, n := range nodes {
+		if err := n.chain.SetTable(trans); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mv := moves[0]
+	off := int64(mv.Range) * tRangeBytes
+	patch := bytes.Repeat([]byte{0x42}, 512)
+	if err := fl.WriteAt(patch, off); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(backendRange(t, spare, mv.Range)[:512], patch) {
+		t.Fatal("union chain did not forward the write to the Next-only owner")
+	}
+	cli, err := netblock.DialOptions(spare.addr, dialOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.WriteAt(patch, off+512); err != nil {
+		t.Fatalf("Next-only owner refused a write: %v", err)
+	}
+	if _, err := cli.ReadAt(make([]byte, 512), off); !errors.Is(err, netblock.ErrStaleEpoch) {
+		t.Fatalf("Next-only owner served a read before commit: %v", err)
+	}
+	if err := spare.chain.SetTable(&cluster.Table{Epoch: 3, Cur: next}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.ReadAt(make([]byte, 512), off); err != nil {
+		t.Fatalf("committed owner refused a read: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -24,9 +25,9 @@ type SimConfig struct {
 	ChurnEvery int   // chaos tick every this many ops (default 20)
 	Link       netlink.Config
 	Detector   DetectorConfig
-	// Supervised hands the rebalance lifecycle to a supervisor actor that
-	// journals every transition and can itself crash and recover — see
-	// simsup.go for the composed-failure matrix it runs.
+	// Supervised makes the control plane itself crashable: the core dies
+	// and recovers from its journal — see simsup.go for the
+	// composed-failure matrix it runs.
 	Supervised bool
 }
 
@@ -130,6 +131,7 @@ type sim struct {
 	cfg    SimConfig
 	rng    *rand.Rand
 	net    *Net
+	drv    *simDriver
 	ctrl   *Control
 	client *Client
 	res    Result
@@ -140,15 +142,14 @@ type sim struct {
 
 	sup *simSup // non-nil when cfg.Supervised
 
-	spares    []string // adopted nodes outside the ring
-	downed    []string // killed nodes awaiting restart
-	slowed    []string // nodes with degraded links
-	cuts      [][2]string
-	joining   string // spare being pulled in by the in-flight join
-	leaving   string // member being drained by the in-flight leave
-	stepFails int    // failed rebalance steps since Begin
-	readLat   stats.Histogram
-	writeLat  stats.Histogram
+	spares   []string // adopted nodes outside the ring
+	downed   []string // killed nodes awaiting restart
+	slowed   []string // nodes with degraded links
+	cuts     [][2]string
+	joining  string // spare being pulled in by the in-flight join
+	leaving  string // member being drained by the in-flight leave
+	readLat  stats.Histogram
+	writeLat stats.Histogram
 }
 
 // Sim runs one seeded churn schedule against a fresh cluster and reports
@@ -185,6 +186,7 @@ func Sim(cfg SimConfig) (Result, error) {
 	s.finalVerify()
 
 	s.res.Elapsed = s.net.Now().Sub(0)
+	s.res.MovesStreamed = s.drv.moved
 	s.res.Client = s.client.Stats()
 	s.res.ReadLat = s.readLat.Summarize()
 	s.res.WriteLat = s.writeLat.Summarize()
@@ -213,26 +215,125 @@ func (s *sim) setup() error {
 	if err != nil {
 		return err
 	}
-	ctrl, err := NewControl(net, ring)
+	s.drv = &simDriver{net: net}
+	if s.ctrl, err = NewControl(ring, s.drv); err != nil {
+		return err
+	}
+	// The client follows whichever core is current: a recovered
+	// supervisor replaces s.ctrl.
+	cli, err := NewClient(net, func() *Table { return s.ctrl.Table() }, NewDetector(s.cfg.Detector))
 	if err != nil {
 		return err
 	}
-	s.ctrl = ctrl
-	for _, id := range s.spares {
-		ctrl.Adopt(net.nodes[id])
-	}
-	cli, err := NewClient(net, ctrl.Table, NewDetector(s.cfg.Detector))
-	if err != nil {
-		return err
-	}
-	s.client = cli
-	ctrl.Stale = cli.Degraded
-	ctrl.OnMoved = func(m Move) {
-		// The target now holds a clean streamed copy; lift its quarantine.
-		delete(cli.degraded, DegKey{m.Target, m.Range})
-		s.res.MovesStreamed++
-	}
+	s.client, s.drv.client = cli, cli
 	return nil
+}
+
+// simDriver runs the control-plane core over the virtual-time network. Its
+// journal is an in-memory record — the stand-in for the daemon's journal
+// file — so a core rebuilt from it recovers exactly what a restarted
+// process would. Health is what the client can reach; a copy is usable
+// when it is reachable, unquarantined and holds data.
+type simDriver struct {
+	net     *Net
+	client  *Client
+	journal []byte
+	moved   int // moves streamed
+}
+
+func (d *simDriver) Persist(data []byte) error {
+	d.journal = data
+	return nil
+}
+
+// Push installs t on every alive node. Dead nodes miss the epoch; their
+// restart re-pushes before they serve again, and their stale epoch
+// rejects any request in between.
+func (d *simDriver) Push(t *Table) {
+	for _, nd := range d.net.nodes {
+		if nd.alive {
+			nd.SetTable(t)
+		}
+	}
+}
+
+func (d *simDriver) Registered(id string) bool { return d.net.nodes[id] != nil }
+
+func (d *simDriver) Healthy(id string) bool { return d.net.Reachable("client", id) }
+
+func (d *simDriver) Usable(id string, rng int) bool {
+	if !d.Healthy(id) || d.client.Degraded(id, rng) {
+		return false
+	}
+	_, ok := d.net.nodes[id].HashRange(rng)
+	return ok
+}
+
+// Written reports whether any node holds data for rng: data only ever
+// lands through acknowledged writes or streams of them.
+func (d *simDriver) Written(rng int) bool {
+	for _, nd := range d.net.nodes {
+		if _, ok := nd.HashRange(rng); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// Quarantine is a no-op: the simulated client sees every chain write's
+// applied set and already quarantines any copy that missed one, so a moved
+// copy needs no catch-up verification here.
+func (d *simDriver) Quarantine(DegKey) {}
+
+// Stream copies a moved range from a live, reachable Cur owner holding a
+// copy the client has not quarantined, charging the data path (source
+// link out, target link in) for the full range. Streaming from a degraded
+// copy would install stale bytes on the target while lifting its
+// quarantine — the exact corruption anti-entropy exists to prevent. A
+// range no owner holds data for was never written and completes trivially.
+func (d *simDriver) Stream(t *Table, mv Move) error {
+	var src *Node
+	hasData := false
+	for _, id := range t.Cur.Owners(mv.Range) {
+		nd := d.net.nodes[id]
+		if nd == nil {
+			continue
+		}
+		if _, ok := nd.HashRange(mv.Range); !ok {
+			continue
+		}
+		hasData = true
+		if !nd.alive || !d.net.Reachable(mv.Target, id) || d.client.Degraded(id, mv.Range) {
+			continue
+		}
+		src = nd
+		break
+	}
+	if src == nil {
+		if hasData {
+			// Written, but every copy is dead, unreachable, or quarantined
+			// right now. "No clean source" must not be read as "never
+			// written" — the move stays pending until a copy recovers.
+			return fmt.Errorf("cluster: no clean source for range %d", mv.Range)
+		}
+		d.landed(mv)
+		return nil
+	}
+	data := src.rangeCopy(mv.Range)
+	d.net.reply(src.id, int64(len(data)))
+	tgt, err := d.net.hop(src.id, mv.Target, int64(len(data)))
+	if err != nil {
+		return fmt.Errorf("cluster: streaming range %d to %q: %w", mv.Range, mv.Target, err)
+	}
+	tgt.ApplyRange(mv.Range, data)
+	d.landed(mv)
+	return nil
+}
+
+// landed lifts the target's quarantine: it now holds a clean copy.
+func (d *simDriver) landed(mv Move) {
+	delete(d.client.degraded, DegKey{mv.Target, mv.Range})
+	d.moved++
 }
 
 // clientOp issues one read or write against the cluster and mirrors it
@@ -314,34 +415,15 @@ func (s *sim) pickExtent(write bool) (off, n int64) {
 	return base + int64(s.rng.Intn(slots+1))*512, n
 }
 
-// cleanOwner reports whether range rng keeps at least one alive,
-// client-reachable, non-quarantined current owner holding its data, with
-// the hypothetical exclusions applied (nodes about to die or be cut off).
-func (s *sim) cleanOwner(rng int, excluded map[string]bool) bool {
-	return s.cleanOwnerIn(s.ctrl.Table().Cur, rng, excluded)
-}
-
-// cleanOwnerIn is cleanOwner against an explicit placement — the guard
-// also protects a journaled-but-unpushed table, whose owners are about to
-// become authoritative.
+// cleanOwnerIn reports whether range rng keeps at least one usable owner
+// (alive, client-reachable, unquarantined, holding data) under the given
+// placement, with the hypothetical exclusions applied (nodes about to die
+// or be cut off).
 func (s *sim) cleanOwnerIn(ring *Ring, rng int, excluded map[string]bool) bool {
 	for _, id := range ring.Owners(rng) {
-		if excluded[id] {
-			continue
+		if !excluded[id] && s.drv.Usable(id, rng) {
+			return true
 		}
-		nd := s.net.nodes[id]
-		if nd == nil || !nd.alive || !s.net.Reachable("client", id) {
-			continue
-		}
-		if s.client.Degraded(id, rng) {
-			continue
-		}
-		if s.acked[rng] {
-			if _, ok := nd.HashRange(rng); !ok {
-				continue
-			}
-		}
-		return true
 	}
 	return false
 }
@@ -353,14 +435,9 @@ func (s *sim) cleanOwnerIn(ring *Ring, rng int, excluded map[string]bool) bool {
 // fail, and anti-entropy heals them afterwards.
 func (s *sim) writeHeadIn(ring *Ring, rng int, excluded map[string]bool) bool {
 	for _, id := range ring.Owners(rng) {
-		if excluded[id] {
-			continue
+		if !excluded[id] && s.drv.Healthy(id) {
+			return true
 		}
-		nd := s.net.nodes[id]
-		if nd == nil || !nd.alive || !s.net.Reachable("client", id) {
-			continue
-		}
-		return true
 	}
 	return false
 }
@@ -377,11 +454,7 @@ func (s *sim) writeHeadIn(ring *Ring, rng int, excluded map[string]bool) bool {
 // died in between), the decided placement is already law — recovery will
 // install it — so its owners are guarded the same way.
 func (s *sim) safeWithout(excluded map[string]bool) bool {
-	table := s.ctrl.Table()
-	var decided *Table
-	if s.sup != nil {
-		decided = s.sup.decided
-	}
+	table, decided := s.ctrl.Table(), s.ctrl.Decided()
 	for rng := 0; rng < s.cfg.Ranges; rng++ {
 		if !s.writeHeadIn(table.Cur, rng, excluded) {
 			return false
@@ -394,7 +467,7 @@ func (s *sim) safeWithout(excluded map[string]bool) bool {
 		}
 	}
 	for _, rng := range s.ackedList {
-		if !s.cleanOwner(rng, excluded) {
+		if !s.cleanOwnerIn(table.Cur, rng, excluded) {
 			return false
 		}
 		if decided != nil && !s.cleanOwnerIn(decided.Cur, rng, excluded) {
@@ -424,10 +497,8 @@ func (s *sim) churnTick() {
 	if len(slow) > 0 {
 		s.res.SlowDetected = true
 	}
-	if s.sup != nil {
-		s.sup.tick()
-	} else {
-		s.advanceRebalance()
+	if s.sup == nil || s.sup.alive {
+		s.advance()
 	}
 	s.chaosAction()
 	if s.sup != nil {
@@ -436,76 +507,47 @@ func (s *sim) churnTick() {
 	s.net.Advance(vtime.Millisecond)
 }
 
-// commitSafe reports whether the pending placement keeps the read
-// invariant: every acknowledged range must have at least one alive,
-// client-reachable, non-quarantined new owner holding its data. Committing
-// without this would strand a range on all-degraded copies — the leaver or
-// dropper may hold the only clean bytes.
-func (s *sim) commitSafe() bool {
-	next := s.ctrl.Table().Next
-	if next == nil {
-		return false
-	}
-	for _, rng := range s.ackedList {
-		ok := false
-		for _, id := range next.Owners(rng) {
-			nd := s.net.nodes[id]
-			if nd == nil || !nd.alive || !s.net.Reachable("client", id) {
-				continue
-			}
-			if s.client.Degraded(id, rng) {
-				continue
-			}
-			if _, has := nd.HashRange(rng); !has {
-				continue
-			}
-			ok = true
-			break
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// advanceRebalance pushes an in-flight transition forward: stream a couple
-// of moves, commit when done and safe, abort when stuck.
-func (s *sim) advanceRebalance() {
-	if !s.ctrl.Rebalancing() {
+// advance runs one control-plane tick. A commit the guard refuses sends
+// anti-entropy after the regressed copies; a failpoint crash takes the
+// supervisor down mid-commit.
+func (s *sim) advance() {
+	r, err := s.ctrl.Tick(DefaultStepsPerTick)
+	s.res.StepFailures += len(r.TargetDown) + len(r.Failed)
+	if errors.Is(err, ErrControlCrashed) {
+		s.sup.crashed()
 		return
 	}
-	for i := 0; i < 2 && len(s.ctrl.PendingMoves()) > 0; i++ {
-		if err := s.ctrl.RebalanceStep(); err != nil {
-			s.stepFails++
-			s.res.StepFailures++
-		}
+	if err != nil {
+		// The in-memory journal cannot fail; an unencodable record is a
+		// harness bug, not a schedule outcome.
+		panic("cluster: control tick: " + err.Error())
 	}
-	if len(s.ctrl.PendingMoves()) == 0 {
-		if s.commitSafe() {
-			if err := s.ctrl.Commit(); err == nil {
-				s.res.Commits++
-				s.finishTransition(false)
-				return
-			}
-		}
-		// A streamed target regressed (killed or re-quarantined after its
-		// stream). Try to heal it; give up on the transition if it stays
-		// unsafe — the old placement is still fully served.
-		s.stepFails++
+	if r.Refused != nil {
 		s.actRepair()
 	}
-	if s.stepFails > 16 {
-		if err := s.ctrl.Abort(); err == nil {
-			s.res.Aborts++
-			s.finishTransition(true)
-		}
+	s.settle()
+}
+
+// settle books the end of a transition once the core is stable again,
+// telling commit from abort by whether the membership change took.
+func (s *sim) settle() {
+	if s.ctrl.Rebalancing() || (s.joining == "" && s.leaving == "") {
+		return
 	}
+	cur := s.ctrl.Table().Cur
+	_, joined := cur.Member(s.joining)
+	_, stayed := cur.Member(s.leaving)
+	aborted := (s.joining != "" && !joined) || (s.leaving != "" && stayed)
+	if aborted {
+		s.res.Aborts++
+	} else {
+		s.res.Commits++
+	}
+	s.finishTransition(aborted)
 }
 
 // finishTransition books membership changes once a transition ends.
 func (s *sim) finishTransition(aborted bool) {
-	s.stepFails = 0
 	if s.joining != "" {
 		if aborted {
 			s.spares = append(s.spares, s.joining)
@@ -566,9 +608,16 @@ func (s *sim) actRestart() {
 	i := s.rng.Intn(len(s.downed))
 	id := s.downed[i]
 	s.downed = append(s.downed[:i], s.downed[i+1:]...)
-	if err := s.ctrl.Restart(id); err == nil {
-		s.res.Restarts++
-	}
+	s.restartNode(id)
+	s.res.Restarts++
+}
+
+// restartNode revives a killed node and resynchronizes its routing table —
+// the node rejoins at the current epoch, with whatever data it kept.
+func (s *sim) restartNode(id string) {
+	nd := s.net.nodes[id]
+	nd.Restart()
+	nd.SetTable(s.ctrl.Table())
 }
 
 // actWipe replaces a node's disk: data gone, process up. Every
@@ -695,9 +744,6 @@ func (s *sim) actMembership() {
 			s.client.MarkDegraded(mv.Target, mv.Range)
 		}
 	}
-	if s.sup != nil {
-		s.sup.snapshot() // the transition is journaled before any move streams
-	}
 }
 
 func (s *sim) actRepair() {
@@ -732,8 +778,8 @@ func (s *sim) drain() error {
 		// successor recovers from the journal first — finishing a decided
 		// push — and the standard wind-down below takes it from there,
 		// with the failpoint disarmed so the wind-down terminates.
-		s.sup.restart()
 		s.sup.crashAtCommit = false
+		s.sup.restart()
 	}
 	s.net.HealAll()
 	s.cuts = nil
@@ -742,51 +788,35 @@ func (s *sim) drain() error {
 	}
 	s.slowed = nil
 	for _, id := range s.downed {
-		if err := s.ctrl.Restart(id); err != nil {
-			return err
-		}
+		s.restartNode(id)
 		s.res.Restarts++
 	}
 	s.downed = nil
 	for tries := 0; s.ctrl.Rebalancing(); tries++ {
 		if tries > 8*s.cfg.Ranges {
-			if s.sup != nil {
-				s.sup.abort()
-			} else {
-				if err := s.ctrl.Abort(); err != nil {
-					return err
-				}
-				s.res.Aborts++
-				s.finishTransition(true)
+			if err := s.ctrl.Abort(); err != nil {
+				return err
 			}
+			s.settle()
 			break
 		}
-		if len(s.ctrl.PendingMoves()) > 0 {
-			if err := s.ctrl.RebalanceStep(); err != nil {
-				s.res.StepFailures++
-			}
-			continue
+		r, err := s.ctrl.Tick(DefaultStepsPerTick)
+		if err != nil {
+			return err
 		}
-		if !s.commitSafe() {
-			// A streamed target was re-quarantined; with the fleet healed,
-			// anti-entropy can restore it before the commit.
+		s.res.StepFailures += len(r.TargetDown) + len(r.Failed)
+		if r.Refused != nil || len(r.Failed) > 0 {
+			// A streamed target was re-quarantined, or a move's only
+			// copies are; with the fleet healed, anti-entropy can restore
+			// them before the commit.
 			healed, err := s.client.Repair()
 			if err != nil {
 				return err
 			}
 			s.res.RepairRounds++
 			s.res.RangesRepaired += healed
-			continue
 		}
-		if s.sup != nil {
-			s.sup.commit()
-		} else {
-			if err := s.ctrl.Commit(); err != nil {
-				return err
-			}
-			s.res.Commits++
-			s.finishTransition(false)
-		}
+		s.settle()
 	}
 	for tries := 0; s.client.DegradedCount() > 0; tries++ {
 		if tries > s.cfg.Ranges*(s.cfg.Nodes+s.cfg.Spares) {

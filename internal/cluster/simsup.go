@@ -1,12 +1,12 @@
 package cluster
 
-// Supervised simulation: the same deterministic churn schedule, but the
-// rebalance lifecycle is driven by a supervisor actor that can itself die
-// and restart — including at the worst spot, between journaling a commit
-// and pushing it. The actor keeps its durable state as an encoded
-// SupJournal in memory (the sim's stand-in for the wallclock supervisor's
-// journal file), so a restart recovers exactly what a process restart
-// would: resume a transition, or finish an interrupted push.
+// Supervised simulation: the same deterministic churn schedule and the same
+// control-plane core, but the supervisor running it can itself die and
+// restart — including at the worst spot, between journaling a commit and
+// pushing it. A dead supervisor's core stops ticking; its successor is a
+// fresh core recovered from the in-memory journal (RecoverControl), exactly
+// as the daemon recovers from its journal file: resume a transition, or
+// finish an interrupted push.
 //
 // The composed-failure matrix rides on the seed class (Seed % 3):
 //
@@ -22,19 +22,10 @@ package cluster
 // zero lost writes stay absolute invariants even while the control plane
 // is dead.
 
-// simSup is the simulated supervisor actor.
+// simSup injects the supervisor's own faults around the shared core.
 type simSup struct {
 	s     *sim
 	alive bool
-
-	// journal is the actor's only durable state across its own crashes.
-	journal []byte
-
-	// decided is a commit/abort that has been journaled but not pushed —
-	// the table recovery must install, never re-decide. While non-nil the
-	// chaos guard protects the decided placement's owners like Cur's.
-	decided        *Table
-	decidedAborted bool
 
 	// crashAtCommit arms the mid-commit failpoint: the next commit
 	// decision journals, then dies before pushing.
@@ -43,162 +34,58 @@ type simSup struct {
 
 func newSimSup(s *sim) *simSup {
 	p := &simSup{s: s, alive: true}
-	p.snapshot()
+	s.ctrl.Failpoint = p.failpoint
 	return p
 }
 
-// snapshot journals the control plane's current state.
-func (p *simSup) snapshot() {
-	phase := SupStable
-	if p.s.ctrl.Rebalancing() {
-		phase = SupTransition
+func (p *simSup) failpoint(point string) bool {
+	if point != "commit-push" || !p.crashAtCommit {
+		return false
 	}
-	p.journalRecord(SnapshotSupJournal(p.s.ctrl.table, p.s.ctrl.pending, phase))
+	p.crashAtCommit = false
+	return true
 }
 
-func (p *simSup) journalRecord(j SupJournal) {
-	data, err := j.Encode()
-	if err != nil {
-		// Unencodable state is a harness bug, not a schedule outcome.
-		panic("cluster: sim supervisor journal: " + err.Error())
-	}
-	p.journal = data
+// crashed books a failpoint death: nodes stay on the transition epoch
+// (union writes, reads on Cur) until a successor recovers the journal and
+// finishes the push.
+func (p *simSup) crashed() {
+	p.alive = false
+	p.s.res.SupKills++
+	p.s.res.MidCommitCrashes++
 }
 
-// tick is the supervisor's periodic round: finish a recovered push, then
-// push the in-flight transition forward — the supervised twin of the
-// harness-driven advanceRebalance.
-func (p *simSup) tick() {
-	if !p.alive {
-		return
-	}
-	if p.decided != nil {
-		p.finishPush()
-		return
-	}
-	s := p.s
-	if !s.ctrl.Rebalancing() {
-		return
-	}
-	for i := 0; i < 2 && len(s.ctrl.pending) > 0; i++ {
-		if err := s.ctrl.RebalanceStep(); err != nil {
-			s.stepFails++
-			s.res.StepFailures++
-		}
-		// Journal after the step: re-streaming an already-streamed move is
-		// idempotent, so a crash between stream and journal only costs a
-		// repeat, never correctness.
-		p.snapshot()
-	}
-	if len(s.ctrl.pending) == 0 {
-		if s.commitSafe() {
-			p.commit()
-			return
-		}
-		s.stepFails++
-		s.actRepair()
-	}
-	if s.stepFails > 16 {
-		p.abort()
-	}
-}
-
-// commit decides the new placement, journals the decision, and pushes —
-// unless the armed failpoint kills the supervisor in between.
-func (p *simSup) commit() {
-	s := p.s
-	decided := &Table{Epoch: s.ctrl.table.Epoch + 1, Cur: s.ctrl.table.Next}
-	moved := Moves(s.ctrl.table.Cur, s.ctrl.table.Next)
-	p.journalRecord(SnapshotSupJournal(decided, moved, SupPush))
-	p.decided, p.decidedAborted = decided, false
-	if p.crashAtCommit {
-		// Dead between journal and push: nodes stay on the transition
-		// epoch (union writes, reads on Cur) until a successor recovers
-		// the journal and finishes the push.
-		p.crashAtCommit = false
-		p.alive = false
-		s.res.SupKills++
-		s.res.MidCommitCrashes++
-		return
-	}
-	p.finishPush()
-}
-
-// abort decides a return to the old placement at a fresh epoch, with the
-// same journal-then-push discipline.
-func (p *simSup) abort() {
-	s := p.s
-	decided := &Table{Epoch: s.ctrl.table.Epoch + 1, Cur: s.ctrl.table.Cur}
-	p.journalRecord(SnapshotSupJournal(decided, nil, SupPush))
-	p.decided, p.decidedAborted = decided, true
-	p.finishPush()
-}
-
-// finishPush installs a decided table on the control plane and nodes, and
-// journals the stable state. Idempotent: recovery calls it for a decision
-// made by a dead predecessor.
-func (p *simSup) finishPush() {
-	s := p.s
-	aborted := p.decidedAborted
-	s.ctrl.table = p.decided
-	s.ctrl.pending = nil
-	s.ctrl.push()
-	p.journalRecord(SnapshotSupJournal(s.ctrl.table, nil, SupStable))
-	p.decided = nil
-	if aborted {
-		s.res.Aborts++
-	} else {
-		s.res.Commits++
-	}
-	s.finishTransition(aborted)
-}
-
-// kill fail-stops the supervisor. Its in-memory state dies with it; only
-// the journal survives.
+// kill fail-stops the supervisor between ticks. Only the journal survives.
 func (p *simSup) kill() {
 	if !p.alive {
 		return
 	}
 	p.alive = false
-	p.decided = nil // lost with the process; recovered from the journal
 	p.crashAtCommit = false
 	p.s.res.SupKills++
 }
 
-// restart recovers a supervisor from the journal, exactly as the wallclock
-// daemon does from its file: stable re-adopts, transition resumes, push
-// finishes the interrupted install.
+// restart recovers a fresh core from the journal.
 func (p *simSup) restart() {
 	if p.alive {
 		return
 	}
 	s := p.s
-	j, err := DecodeSupJournal(p.journal)
+	ctrl, rec, err := RecoverControl(s.drv.journal, s.drv)
 	if err != nil {
 		panic("cluster: sim supervisor recovery: " + err.Error())
 	}
-	table, _, err := j.Table()
-	if err != nil {
-		panic("cluster: sim supervisor recovery: " + err.Error())
-	}
+	ctrl.Failpoint = p.failpoint
+	s.ctrl = ctrl
 	p.alive = true
 	s.res.SupRestarts++
-	switch j.Phase {
-	case SupStable, SupTransition:
-		// The control plane's in-memory table was journaled before it took
-		// effect, so it already matches; nothing to rebuild, just resume.
-		if j.Phase == SupTransition {
-			s.res.SupResumes++
-		}
-	case SupPush:
-		// A decided commit/abort whose push never ran. Whether it was a
-		// commit is recoverable from shape: a commit's table is the
-		// transition's Next membership, an abort's is its Cur.
-		p.decided = table
-		p.decidedAborted = s.ctrl.table.Next == nil || !sameMembers(table.Cur, s.ctrl.table.Next)
+	switch rec {
+	case RecoveredResume:
+		s.res.SupResumes++
+	case RecoveredPush:
 		s.res.SupRecoverPushes++
-		p.finishPush()
 	}
+	s.settle()
 }
 
 // chaos runs the supervisor-layer fault injection for this tick: the
@@ -270,22 +157,4 @@ func (s *sim) composedSlowHead() {
 	s.slowed = append(s.slowed, head)
 	s.res.Degrades++
 	s.res.SlowJoinHeads++
-}
-
-// sameMembers reports whether two rings share a member ID set.
-func sameMembers(a, b *Ring) bool {
-	am, bm := a.Members(), b.Members()
-	if len(am) != len(bm) {
-		return false
-	}
-	set := make(map[string]bool, len(am))
-	for _, m := range am {
-		set[m.ID] = true
-	}
-	for _, m := range bm {
-		if !set[m.ID] {
-			return false
-		}
-	}
-	return true
 }

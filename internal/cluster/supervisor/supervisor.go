@@ -8,17 +8,19 @@
 // retry/backoff, and the three-epoch join/leave rebalance executed with
 // fleet.StreamMove against live servers.
 //
-// The supervisor is crash-safe: every placement transition is journaled
-// (cluster.SupJournal) before any node observes it, so a restart
-// mid-rebalance resumes the stream — or finishes an interrupted commit
-// push — without violating the clean-head invariant. When it cannot act
-// safely (no clean source, a move target down, the detector disagreeing
+// Transitions run on cluster.Control, the control-plane core the churn
+// simulation drives too: it journals every table (cluster.SupJournal)
+// before pushing it, recovers from the journal after a crash, applies the
+// one commit guard, and aborts a transition held too long. The supervisor
+// is its wall-clock driver — it supplies the journal file, the pushes, the
+// streams, and the health observations of its own pings. When it cannot
+// act safely (no clean source, a move target down, the detector disagreeing
 // with a live ping) it holds state and surfaces a typed Hold instead of
 // wedging or guessing.
 //
 // Epoch distribution reuses the existing ping/SetEpoch channel: nodes
 // advertise their epoch in every ping answer, and the supervisor re-pushes
-// the committed table to any healthy member advertising a stale epoch —
+// the current table to any healthy member advertising a stale epoch —
 // there is deliberately no management op in the wire protocol.
 package supervisor
 
@@ -39,11 +41,12 @@ import (
 
 // Node registers one fleet member (or spare) with the supervisor: its ring
 // identity/address plus the management push the supervisor installs
-// committed placements through. Push is in-process (SetRing + SetEpoch on
-// the node's chain backend and server); the data/ping plane is real TCP.
+// routing tables through — transition tables included. Push is in-process
+// (SetTable + SetEpoch on the node's chain backend and server); the
+// data/ping plane is real TCP.
 type Node struct {
 	Member cluster.Member
-	Push   func(ring *cluster.Ring, epoch uint64) error
+	Push   func(t *cluster.Table) error
 }
 
 // Config parameterizes a supervisor.
@@ -54,50 +57,32 @@ type Config struct {
 	// Nodes registers every dialable node, including spares that may join
 	// later. More can be added with Register.
 	Nodes []Node
-	// JournalPath persists the supervisor's state ("" keeps it in memory —
-	// crash-safe only across Tick boundaries, not process restarts).
+	// JournalPath persists the supervisor's state ("" runs without a
+	// journal: nothing survives a process restart).
 	JournalPath string
 	// Detector tunes fail-stop/fail-slow classification; zero values take
 	// the cluster defaults.
 	Detector cluster.DetectorConfig
 	// Client sets the dial/request timeouts for pings and repair streams.
 	Client netblock.ClientOptions
-	// RepairConcurrency bounds simultaneous repair streams (default 2).
-	RepairConcurrency int
-	// RepairAttempts bounds retries of one repair per tick (default 3).
-	RepairAttempts int
-	// RepairBackoff is the base backoff between repair retries, doubling
-	// per attempt (default 25ms).
-	RepairBackoff time.Duration
-	// StepsPerTick bounds rebalance moves streamed per tick (default 2).
+	// StepsPerTick bounds rebalance moves streamed per tick (default
+	// cluster.DefaultStepsPerTick).
 	StepsPerTick int
-	// MaxRepairsPerTick bounds repairs started per tick (default 8).
-	MaxRepairsPerTick int
-	// AbortAfter is how many consecutive held ticks an in-flight
-	// transition survives before the supervisor aborts it (default 16).
-	AbortAfter int
 	// Sleep replaces time.Sleep for repair backoff (tests inject a no-op).
 	Sleep func(time.Duration)
 }
 
+// Repair scheduling bounds.
+const (
+	repairConcurrency = 2                     // simultaneous repair streams
+	repairAttempts    = 3                     // retries of one repair per tick
+	repairBackoff     = 25 * time.Millisecond // base retry backoff, doubling per attempt
+	maxRepairsPerTick = 8                     // repairs started per tick
+)
+
 func (c Config) withDefaults() Config {
-	if c.RepairConcurrency <= 0 {
-		c.RepairConcurrency = 2
-	}
-	if c.RepairAttempts <= 0 {
-		c.RepairAttempts = 3
-	}
-	if c.RepairBackoff <= 0 {
-		c.RepairBackoff = 25 * time.Millisecond
-	}
 	if c.StepsPerTick <= 0 {
-		c.StepsPerTick = 2
-	}
-	if c.MaxRepairsPerTick <= 0 {
-		c.MaxRepairsPerTick = 8
-	}
-	if c.AbortAfter <= 0 {
-		c.AbortAfter = 16
+		c.StepsPerTick = cluster.DefaultStepsPerTick
 	}
 	if c.Client.DialTimeout <= 0 {
 		c.Client.DialTimeout = 500 * time.Millisecond
@@ -165,7 +150,7 @@ type Status struct {
 
 // errCrashed is returned by Tick after a test failpoint killed the
 // supervisor mid-transition; a real deployment never sees it.
-var errCrashed = errors.New("supervisor: crashed at failpoint")
+var errCrashed = cluster.ErrControlCrashed
 
 // Supervisor is the control-plane daemon. All public methods are safe for
 // concurrent use; Tick is the single supervision round Start runs
@@ -174,23 +159,19 @@ type Supervisor struct {
 	cfg Config
 	fl  *fleet.Fleet
 	det *cluster.Detector
+	ctl *cluster.Control
 
-	mu          sync.Mutex
-	nodes       map[string]Node
-	conns       map[string]*netblock.Client // ping connections
-	table       *cluster.Table
-	pending     []cluster.Move
-	phase       cluster.SupPhase
-	pushed      uint64 // last stable epoch pushed to nodes
-	quar        map[cluster.DegKey]int
-	departing   map[string]bool
-	wasDown     map[string]bool
-	firstFail   map[string]time.Time
-	downSince   map[string]time.Time
-	holds       []Hold
-	heldTicks   int
-	dead        bool
-	lastJournal []byte // in-memory journal when JournalPath is ""
+	mu        sync.Mutex
+	nodes     map[string]Node
+	conns     map[string]*netblock.Client // ping connections
+	infos     map[string]pingResult       // the latest ping sweep
+	quar      map[cluster.DegKey]int
+	departing map[string]bool
+	wasDown   map[string]bool
+	firstFail map[string]time.Time
+	downSince map[string]time.Time
+	holds     []Hold
+	dead      bool
 
 	detections, repairs, commits, aborts int
 	resumes, recoveredPushes             int
@@ -206,9 +187,9 @@ type Supervisor struct {
 }
 
 // New builds a supervisor. If cfg.JournalPath names an existing journal,
-// the supervisor recovers from it — resuming an in-flight transition or
-// finishing an interrupted commit push — instead of starting from
-// cfg.Ring.
+// the supervisor recovers from it — resuming an in-flight transition,
+// finishing an interrupted commit push, or aborting a transition it cannot
+// resume — instead of starting from cfg.Ring.
 func New(cfg Config) (*Supervisor, error) {
 	cfg = cfg.withDefaults()
 	s := &Supervisor{
@@ -236,31 +217,37 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	switch {
 	case journal != nil:
-		if err := s.recover(*journal); err != nil {
+		var rec cluster.Recovery
+		if s.ctl, rec, err = cluster.RecoverControl(journal, driver{s}); err != nil {
 			return nil, err
 		}
+		switch rec {
+		case cluster.RecoveredResume:
+			s.resumes++
+		case cluster.RecoveredAbort:
+			s.aborts++
+		case cluster.RecoveredPush:
+			s.recoveredPushes++
+		}
 	case cfg.Ring != nil:
-		s.table = &cluster.Table{Epoch: 1, Cur: cfg.Ring}
-		s.phase = cluster.SupStable
-		s.pushed = s.table.Epoch
-		if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
+		if s.ctl, err = cluster.NewControl(cfg.Ring, driver{s}); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("supervisor: no initial ring and no journal at %q", cfg.JournalPath)
 	}
+	s.ctl.Failpoint = func(point string) bool { return s.failpoint != nil && s.failpoint(point) }
 
-	fl, err := fleet.New(s.table.Cur, cfg.Client)
+	fl, err := fleet.New(s.ctl.Table().Cur, cfg.Client)
 	if err != nil {
 		return nil, err
 	}
 	s.fl = fl
-	s.pushAllLocked()
 	return s, nil
 }
 
 // loadJournal reads the persisted journal, if any.
-func (s *Supervisor) loadJournal() (*cluster.SupJournal, error) {
+func (s *Supervisor) loadJournal() ([]byte, error) {
 	if s.cfg.JournalPath == "" {
 		return nil, nil
 	}
@@ -271,62 +258,7 @@ func (s *Supervisor) loadJournal() (*cluster.SupJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("supervisor: read journal: %w", err)
 	}
-	j, err := cluster.DecodeSupJournal(data)
-	if err != nil {
-		return nil, err
-	}
-	return &j, nil
-}
-
-// recover adopts journaled state. Resume-vs-abort rules:
-//   - stable: adopt and re-push lazily (epoch self-heal).
-//   - push: a commit/abort was decided but its push may be partial —
-//     finish it (re-push is idempotent) and journal stable.
-//   - transition: resume streaming if every member of the target
-//     placement is registered; otherwise abort at a fresh epoch. Nothing
-//     was committed, so aborting only discards streamed garbage.
-func (s *Supervisor) recover(j cluster.SupJournal) error {
-	table, pending, err := j.Table()
-	if err != nil {
-		return err
-	}
-	s.table, s.pending, s.phase = table, pending, j.Phase
-	switch j.Phase {
-	case cluster.SupStable:
-		s.pushed = table.Epoch
-	case cluster.SupPush:
-		// The decided table is stable-shaped; the pushes happen below in
-		// New (pushAllLocked), after which the journal records stable. The
-		// record's pending moves are the commit's moved copies: re-adopt
-		// their quarantine so the crash cannot skip catch-up verification.
-		for _, mv := range pending {
-			s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}] = 0
-		}
-		s.pending = nil
-		s.pushed = table.Epoch
-		s.phase = cluster.SupStable
-		if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
-			return err
-		}
-		s.recoveredPushes++
-	case cluster.SupTransition:
-		s.pushed = table.Epoch - 1 // nodes never saw the transition epoch
-		for _, m := range table.Next.Members() {
-			if _, ok := s.nodes[m.ID]; !ok {
-				// The target placement names a node this supervisor cannot
-				// manage: resuming could stream at an address nobody
-				// registered. Abort cleanly instead.
-				s.table = &cluster.Table{Epoch: table.Epoch + 1, Cur: table.Cur}
-				s.pending = nil
-				s.phase = cluster.SupStable
-				s.pushed = s.table.Epoch
-				s.aborts++
-				return s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable))
-			}
-		}
-		s.resumes++
-	}
-	return nil
+	return data, nil
 }
 
 // Register adds a node (typically a spare that will join later).
@@ -345,14 +277,14 @@ func (s *Supervisor) Register(n Node) error {
 func (s *Supervisor) Ring() *cluster.Ring {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.table.Cur
+	return s.ctl.Table().Cur
 }
 
 // Epoch returns the authoritative table epoch.
 func (s *Supervisor) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.table.Epoch
+	return s.ctl.Table().Epoch
 }
 
 // Start runs Tick every interval until Close.
@@ -405,13 +337,13 @@ func (s *Supervisor) Tick() (Status, error) {
 		return s.statusLocked(), errCrashed
 	}
 	s.holds = s.holds[:0]
-	infos := s.pingSweepLocked()
-	s.classifyLocked(infos)
-	s.repushLocked(infos)
-	if err := s.advanceLocked(infos); err != nil {
+	s.infos = s.pingSweepLocked()
+	s.classifyLocked()
+	s.repushLocked()
+	if err := s.advanceLocked(); err != nil {
 		return s.statusLocked(), err
 	}
-	s.repairLocked(infos)
+	s.repairLocked()
 	return s.statusLocked(), nil
 }
 
@@ -428,10 +360,8 @@ func (s *Supervisor) registeredIDs() []string {
 
 // pingSweepLocked probes every registered node over TCP, timing each
 // round trip for the detector.
-func (s *Supervisor) pingSweepLocked(ids ...string) map[string]pingResult {
-	if len(ids) == 0 {
-		ids = s.registeredIDs()
-	}
+func (s *Supervisor) pingSweepLocked() map[string]pingResult {
+	ids := s.registeredIDs()
 	out := make(map[string]pingResult, len(ids))
 	for _, id := range ids {
 		start := time.Now()
@@ -469,10 +399,10 @@ func (s *Supervisor) pingLocked(id string) (netblock.PingInfo, error) {
 // Down members. A member that announced a planned drain is reclassified as
 // departing: its later silence is a scheduled departure, not a fail-stop,
 // so it accumulates no failure run and triggers no quarantine.
-func (s *Supervisor) classifyLocked(infos map[string]pingResult) {
+func (s *Supervisor) classifyLocked() {
 	now := time.Now()
 	for _, id := range s.registeredIDs() {
-		r, ok := infos[id]
+		r, ok := s.infos[id]
 		if !ok {
 			continue
 		}
@@ -501,13 +431,13 @@ func (s *Supervisor) classifyLocked(infos map[string]pingResult) {
 			s.det.Observe(id, vtime.FromStd(r.lat), false)
 		}
 	}
-	for id, st := range s.memberStatesLocked(infos) {
+	for id, st := range s.memberStatesLocked() {
 		switch st {
 		case cluster.Down:
 			if s.wasDown[id] {
 				continue
 			}
-			if r, ok := infos[id]; ok && r.err == nil {
+			if r, ok := s.infos[id]; ok && r.err == nil {
 				// The detector says Down but the node just answered:
 				// signals disagree — hold instead of quarantining a member
 				// that is visibly serving.
@@ -532,13 +462,14 @@ func (s *Supervisor) classifyLocked(infos map[string]pingResult) {
 
 // memberStatesLocked classifies every member of the current (and pending)
 // placement, in deterministic order.
-func (s *Supervisor) memberStatesLocked(map[string]pingResult) map[string]cluster.Health {
+func (s *Supervisor) memberStatesLocked() map[string]cluster.Health {
 	out := make(map[string]cluster.Health)
-	for _, m := range s.table.Cur.Members() {
+	t := s.ctl.Table()
+	for _, m := range t.Cur.Members() {
 		out[m.ID] = s.det.State(m.ID)
 	}
-	if s.table.Next != nil {
-		for _, m := range s.table.Next.Members() {
+	if t.Next != nil {
+		for _, m := range t.Next.Members() {
 			out[m.ID] = s.det.State(m.ID)
 		}
 	}
@@ -549,41 +480,36 @@ func (s *Supervisor) memberStatesLocked(map[string]pingResult) map[string]cluste
 // degraded on that member: while it was away it missed every write, so
 // until a hash-verified repair confirms its copies they must not serve.
 func (s *Supervisor) quarantineNodeLocked(id string) {
-	for rng := 0; rng < s.table.Cur.Ranges; rng++ {
-		if s.table.Cur.OwnedBy(rng, id) {
-			if _, ok := s.quar[cluster.DegKey{Node: id, Range: rng}]; !ok {
-				s.quar[cluster.DegKey{Node: id, Range: rng}] = 0
-			}
+	cur := s.ctl.Table().Cur
+	for rng := 0; rng < cur.Ranges; rng++ {
+		if cur.OwnedBy(rng, id) {
+			s.quarantineLocked(cluster.DegKey{Node: id, Range: rng})
 		}
+	}
+}
+
+// quarantineLocked marks one copy, keeping the failure count of a copy
+// already marked.
+func (s *Supervisor) quarantineLocked(k cluster.DegKey) {
+	if _, ok := s.quar[k]; !ok {
+		s.quar[k] = 0
 	}
 }
 
 // repushLocked heals stale epochs through the ping channel: any healthy,
-// non-departing member advertising an epoch older than the last committed
-// push gets the committed table re-installed — how a restarted node
-// rejoins the routing without a management protocol.
-func (s *Supervisor) repushLocked(infos map[string]pingResult) {
-	for _, m := range s.table.Cur.Members() {
-		r, ok := infos[m.ID]
-		if !ok || r.err != nil || r.info.Draining || r.info.Epoch >= s.pushed {
+// non-departing member of the current table advertising an older epoch
+// gets the table re-installed — how a restarted node rejoins the routing
+// without a management protocol.
+func (s *Supervisor) repushLocked() {
+	t := s.ctl.Table()
+	for _, id := range s.registeredIDs() {
+		r, ok := s.infos[id]
+		if !ok || r.err != nil || r.info.Draining || r.info.Epoch >= t.Epoch {
 			continue
 		}
-		if n, ok := s.nodes[m.ID]; ok {
-			_ = n.Push(s.table.Cur, s.pushed)
+		if _, member := t.Member(id); member {
+			_ = s.nodes[id].Push(t)
 		}
-	}
-}
-
-// pushAllLocked installs the committed table on every registered member of
-// the current placement. Failures are left to the per-tick re-push.
-func (s *Supervisor) pushAllLocked() {
-	for _, m := range s.table.Cur.Members() {
-		if n, ok := s.nodes[m.ID]; ok {
-			_ = n.Push(s.table.Cur, s.pushed)
-		}
-	}
-	if s.fl != nil {
-		_ = s.fl.SetRing(s.table.Cur)
 	}
 }
 
@@ -592,8 +518,8 @@ func (s *Supervisor) holdLocked(reason HoldReason, node string, rng int) {
 	s.holds = append(s.holds, Hold{Reason: reason, Node: node, Range: rng})
 }
 
-// refreshFleet re-syncs the data-path client to the given authoritative
-// placement after a node refused an op at a stale epoch. The supervisor is
+// refreshFleet re-syncs the supervisor's data-path client to the given
+// authoritative placement after a node refused an op at a stale epoch. The supervisor is
 // the epoch authority, so a refusal means its own client view lagged a
 // push (e.g. a node restarted into a newer epoch from a prior
 // incarnation); the table itself never moves in response. Safe without
@@ -603,177 +529,57 @@ func (s *Supervisor) refreshFleet(cur *cluster.Ring) {
 	_ = s.fl.SetRing(cur)
 }
 
-// persistLocked writes the journal durably (temp file + rename) before the
-// state it records takes effect anywhere.
-func (s *Supervisor) persistLocked(j cluster.SupJournal) error {
-	data, err := j.Encode()
-	if err != nil {
-		return err
-	}
-	if s.cfg.JournalPath == "" {
-		s.lastJournal = data
-		return nil
-	}
-	tmp := s.cfg.JournalPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.cfg.JournalPath)
-}
-
-// healthyLocked reports whether a node can be an actor in a transition
-// step right now.
-func (s *Supervisor) healthyLocked(id string, infos map[string]pingResult) bool {
+// healthyLocked reports whether a node can act in a transition step right
+// now: not departing, answering this tick's ping, and not classified Down.
+func (s *Supervisor) healthyLocked(id string) bool {
 	if s.departing[id] {
 		return false
 	}
-	if r, ok := infos[id]; !ok || r.err != nil {
+	if r, ok := s.infos[id]; !ok || r.err != nil {
 		return false
 	}
 	return s.det.State(id) != cluster.Down
 }
 
-// advanceLocked pushes an in-flight transition forward: stream up to
-// StepsPerTick pending moves, commit when the pending set is empty and
-// every target is healthy, abort when held too long.
-func (s *Supervisor) advanceLocked(infos map[string]pingResult) error {
-	if s.phase != cluster.SupTransition {
-		return nil
+// advanceLocked runs one tick of the control-plane core and turns what it
+// held back into typed Holds.
+func (s *Supervisor) advanceLocked() error {
+	prev := s.ctl.Table().Cur
+	r, err := s.ctl.Tick(s.cfg.StepsPerTick)
+	for _, mv := range r.TargetDown {
+		s.holdLocked(HoldTargetDown, mv.Target, mv.Range)
 	}
-	progressed := false
-	for i := 0; i < s.cfg.StepsPerTick && len(s.pending) > 0; i++ {
-		mv := s.pending[0]
-		if !s.healthyLocked(mv.Target, infos) {
-			s.holdLocked(HoldTargetDown, mv.Target, mv.Range)
-			s.pending = append(s.pending[1:], mv)
-			break
-		}
-		if err := s.fl.StreamMove(s.table.Cur, s.table.Next, mv); err != nil {
-			if errors.Is(err, netblock.ErrStaleEpoch) {
-				s.refreshFleet(s.table.Cur)
-			}
-			s.holdLocked(HoldNoCleanSource, mv.Target, mv.Range)
-			s.pending = append(s.pending[1:], mv)
-			continue
-		}
-		s.pending = s.pending[1:]
-		progressed = true
-		if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, s.pending, cluster.SupTransition)); err != nil {
-			return err
-		}
+	for _, mv := range r.Failed {
+		s.holdLocked(HoldNoCleanSource, mv.Target, mv.Range)
 	}
-	if len(s.pending) == 0 {
-		if s.commitSafeLocked(infos) {
-			return s.commitLocked()
-		}
+	if r.Refused != nil {
 		s.holdLocked(HoldCommitUnsafe, "", -1)
 	}
-	if progressed {
-		s.heldTicks = 0
-	} else {
-		s.heldTicks++
-		if s.heldTicks > s.cfg.AbortAfter {
-			return s.abortLocked()
+	if r.Aborted {
+		s.aborts++
+	}
+	if r.Committed {
+		s.commits++
+		// Members that left the placement stop being supervised.
+		for _, m := range prev.Members() {
+			if _, still := s.ctl.Table().Cur.Member(m.ID); !still {
+				s.det.Forget(m.ID)
+				delete(s.departing, m.ID)
+			}
 		}
 	}
-	return nil
-}
-
-// commitSafeLocked: every member of the new placement must be healthy and
-// staying — committing at a dead or departing target would strand its
-// ranges on copies nobody verified.
-func (s *Supervisor) commitSafeLocked(infos map[string]pingResult) bool {
-	for _, m := range s.table.Next.Members() {
-		if !s.healthyLocked(m.ID, infos) {
-			return false
-		}
-	}
-	return true
-}
-
-// commitLocked finishes the transition. Ordering is the crash-safety
-// contract: journal the decided table first (phase push), then swap and
-// push — a crash between the two re-pushes on recovery instead of
-// re-deciding, so no node ever observes an epoch the journal does not.
-func (s *Supervisor) commitLocked() error {
-	newT := &cluster.Table{Epoch: s.table.Epoch + 1, Cur: s.table.Next}
-	moved := cluster.Moves(s.table.Cur, newT.Cur)
-	if err := s.persistLocked(cluster.SnapshotSupJournal(newT, moved, cluster.SupPush)); err != nil {
-		return err
-	}
-	if s.failpoint != nil && s.failpoint("commit-push") {
+	if errors.Is(err, cluster.ErrControlCrashed) {
 		s.dead = true
-		return errCrashed
 	}
-	departed := s.table.Cur.Members()
-	s.table = newT
-	s.pending = nil
-	s.phase = cluster.SupStable
-	s.pushed = newT.Epoch
-	s.pushAllLocked()
-	// Members that left the placement stop being supervised.
-	for _, m := range departed {
-		if _, still := newT.Cur.Member(m.ID); !still {
-			s.det.Forget(m.ID)
-			delete(s.departing, m.ID)
-		}
-	}
-	// Writes that landed between a move's stream and this push reached the
-	// old chain only: quarantine each moved copy until a hash-verified
-	// repair from a surviving replica confirms (or heals) it.
-	for _, mv := range moved {
-		if _, ok := s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}]; !ok {
-			s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}] = 0
-		}
-	}
-	if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
-		return err
-	}
-	s.commits++
-	s.heldTicks = 0
-	return nil
-}
-
-// abortLocked cancels the transition at a fresh epoch with the old
-// placement — streamed ranges stay on their targets as unrouted garbage.
-func (s *Supervisor) abortLocked() error {
-	newT := &cluster.Table{Epoch: s.table.Epoch + 1, Cur: s.table.Cur}
-	if err := s.persistLocked(cluster.SnapshotSupJournal(newT, nil, cluster.SupPush)); err != nil {
-		return err
-	}
-	if s.failpoint != nil && s.failpoint("abort-push") {
-		s.dead = true
-		return errCrashed
-	}
-	s.table = newT
-	s.pending = nil
-	s.phase = cluster.SupStable
-	s.pushed = newT.Epoch
-	s.pushAllLocked()
-	if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
-		return err
-	}
-	s.aborts++
-	s.heldTicks = 0
-	return nil
+	return err
 }
 
 // BeginJoin starts pulling a registered node into the placement. The
-// transition is journaled before any stream runs.
+// transition is journaled and pushed before any stream runs.
 func (s *Supervisor) BeginJoin(m cluster.Member) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.phase != cluster.SupStable {
-		return fmt.Errorf("supervisor: rebalance already in flight")
-	}
-	if _, ok := s.nodes[m.ID]; !ok {
-		return fmt.Errorf("supervisor: joining node %q not registered", m.ID)
-	}
-	next, err := s.table.Cur.WithJoin(m)
-	if err != nil {
-		return err
-	}
-	return s.beginLocked(next)
+	return s.ctl.BeginJoin(m)
 }
 
 // BeginLeave starts a graceful departure: the member keeps serving while
@@ -781,32 +587,73 @@ func (s *Supervisor) BeginJoin(m cluster.Member) error {
 func (s *Supervisor) BeginLeave(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.phase != cluster.SupStable {
-		return fmt.Errorf("supervisor: rebalance already in flight")
-	}
-	next, err := s.table.Cur.WithLeave(id)
-	if err != nil {
-		return err
-	}
-	return s.beginLocked(next)
+	return s.ctl.BeginLeave(id)
 }
 
-func (s *Supervisor) beginLocked(next *cluster.Ring) error {
-	table := &cluster.Table{Epoch: s.table.Epoch + 1, Cur: s.table.Cur, Next: next}
-	pending := cluster.Moves(s.table.Cur, next)
-	if err := s.persistLocked(cluster.SnapshotSupJournal(table, pending, cluster.SupTransition)); err != nil {
+// driver is the supervisor's side of the control-plane core, called with
+// s.mu held (or during New, before the supervisor is shared).
+type driver struct{ s *Supervisor }
+
+// Persist writes the journal durably (temp file + rename) before the state
+// it records takes effect anywhere.
+func (d driver) Persist(data []byte) error {
+	path := d.s.cfg.JournalPath
+	if path == "" {
+		return nil
+	}
+	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
 		return err
 	}
-	s.table, s.pending, s.phase = table, pending, cluster.SupTransition
-	s.heldTicks = 0
-	return nil
+	return os.Rename(path+".tmp", path)
 }
+
+// Push installs a table on every registered node and routes the
+// supervisor's own streams by its Cur. Failures are left to the per-tick
+// re-push.
+func (d driver) Push(t *cluster.Table) {
+	for _, id := range d.s.registeredIDs() {
+		_ = d.s.nodes[id].Push(t)
+	}
+	if d.s.fl != nil {
+		d.s.refreshFleet(t.Cur)
+	}
+}
+
+// Stream moves one range with fleet.StreamMove, never sourcing from a
+// quarantined copy.
+func (d driver) Stream(t *cluster.Table, mv cluster.Move) error {
+	err := d.s.fl.StreamMove(t.Cur, t.Next, mv, d.s.quarantinedLocked)
+	if errors.Is(err, netblock.ErrStaleEpoch) {
+		d.s.refreshFleet(t.Cur)
+	}
+	return err
+}
+
+func (d driver) Registered(id string) bool {
+	_, ok := d.s.nodes[id]
+	return ok
+}
+
+func (d driver) Healthy(id string) bool { return d.s.healthyLocked(id) }
+
+func (d driver) Usable(id string, rng int) bool {
+	return d.s.healthyLocked(id) && !d.s.quarantinedLocked(id, rng)
+}
+
+// Written is true for every range: the daemon cannot see which ranges
+// hold acknowledged data, so every range needs a clean copy.
+func (d driver) Written(int) bool { return true }
+
+// Quarantine takes a moved copy out of service until repair verifies it:
+// writes that landed between its stream and the commit may have missed it
+// (a chain forward failure never reaches the supervisor).
+func (d driver) Quarantine(k cluster.DegKey) { d.s.quarantineLocked(k) }
 
 // repairLocked schedules hash-verified repairs for quarantined copies
 // whose node answers pings, with bounded concurrency and per-repair
 // retry/backoff. A node that no longer owns the range sheds its mark
 // without traffic (membership moved on).
-func (s *Supervisor) repairLocked(infos map[string]pingResult) {
+func (s *Supervisor) repairLocked() {
 	keys := make([]cluster.DegKey, 0, len(s.quar))
 	for k := range s.quar {
 		keys = append(keys, k)
@@ -818,17 +665,18 @@ func (s *Supervisor) repairLocked(infos map[string]pingResult) {
 		return keys[i].Range < keys[j].Range
 	})
 
+	cur := s.ctl.Table().Cur
 	var eligible []cluster.DegKey
 	for _, k := range keys {
-		if !s.table.Cur.OwnedBy(k.Range, k.Node) {
+		if !cur.OwnedBy(k.Range, k.Node) {
 			delete(s.quar, k)
 			continue
 		}
-		if !s.healthyLocked(k.Node, infos) {
+		if !s.healthyLocked(k.Node) {
 			continue // still down or departing; repair when it answers
 		}
 		eligible = append(eligible, k)
-		if len(eligible) >= s.cfg.MaxRepairsPerTick {
+		if len(eligible) >= maxRepairsPerTick {
 			break
 		}
 	}
@@ -840,9 +688,15 @@ func (s *Supervisor) repairLocked(infos map[string]pingResult) {
 		key cluster.DegKey
 		err error
 	}
-	cur := s.table.Cur // captured under s.mu; workers must not take it
+	// Captured under s.mu; workers must not take it. The quarantine set
+	// is the source veto: a quarantined copy never heals another.
+	quar := make(map[cluster.DegKey]bool, len(s.quar))
+	for k := range s.quar {
+		quar[k] = true
+	}
+	stale := func(node string, rng int) bool { return quar[cluster.DegKey{Node: node, Range: rng}] }
 	results := make([]result, len(eligible))
-	sem := make(chan struct{}, s.cfg.RepairConcurrency)
+	sem := make(chan struct{}, repairConcurrency)
 	var wg sync.WaitGroup
 	for i, k := range eligible {
 		wg.Add(1)
@@ -851,14 +705,14 @@ func (s *Supervisor) repairLocked(infos map[string]pingResult) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var err error
-			for attempt := 0; attempt < s.cfg.RepairAttempts; attempt++ {
-				if err = s.fl.RepairRange(k.Node, k.Range); err == nil {
+			for attempt := 0; attempt < repairAttempts; attempt++ {
+				if err = s.fl.RepairRange(k.Node, k.Range, stale); err == nil {
 					break
 				}
 				if errors.Is(err, netblock.ErrStaleEpoch) {
 					s.refreshFleet(cur)
 				}
-				s.cfg.Sleep(s.cfg.RepairBackoff << attempt)
+				s.cfg.Sleep(repairBackoff << attempt)
 			}
 			results[i] = result{key: k, err: err}
 		}(i, k)
@@ -895,11 +749,9 @@ func (s *Supervisor) nodeClearLocked(id string) bool {
 	return true
 }
 
-// Quarantined reports whether a copy is currently quarantined — the
-// read-path veto a routing client can consult.
-func (s *Supervisor) Quarantined(node string, rng int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// quarantinedLocked reports whether a copy is quarantined — the source
+// veto for moves.
+func (s *Supervisor) quarantinedLocked(node string, rng int) bool {
 	_, ok := s.quar[cluster.DegKey{Node: node, Range: rng}]
 	return ok
 }
@@ -912,10 +764,14 @@ func (s *Supervisor) Status() Status {
 }
 
 func (s *Supervisor) statusLocked() Status {
+	phase := cluster.SupStable
+	if s.ctl.Rebalancing() {
+		phase = cluster.SupTransition
+	}
 	st := Status{
-		Epoch:           s.table.Epoch,
-		Phase:           s.phase,
-		Pending:         len(s.pending),
+		Epoch:           s.ctl.Table().Epoch,
+		Phase:           phase,
+		Pending:         len(s.ctl.PendingMoves()),
 		Detections:      s.detections,
 		Repairs:         s.repairs,
 		Commits:         s.commits,

@@ -53,7 +53,7 @@ type supNode struct {
 	alive bool
 }
 
-func (n *supNode) push(ring *cluster.Ring, epoch uint64) error {
+func (n *supNode) push(t *cluster.Table) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive {
@@ -62,10 +62,10 @@ func (n *supNode) push(ring *cluster.Ring, epoch uint64) error {
 	if n.srv.Draining() {
 		return fmt.Errorf("node %s: draining", n.id)
 	}
-	if err := n.chain.SetRing(ring); err != nil {
+	if err := n.chain.SetTable(t); err != nil {
 		return err
 	}
-	n.srv.SetEpoch(epoch)
+	n.srv.SetEpoch(t.Epoch)
 	return nil
 }
 
@@ -715,5 +715,81 @@ func TestSupervisorAbortsUnresumableTransition(t *testing.T) {
 	}
 	if _, ok := sup2.Ring().Member("d"); ok {
 		t.Fatal("aborted join left d in the placement")
+	}
+}
+
+// TestSupervisorGracefulLeaveTCP: a member leaves a 4-node, 2-way fleet
+// over live TCP. Every move targets an owner only the next placement
+// names; it accepts the stream because the supervisor pushed the
+// transition table. The leave commits two epochs up, and every
+// acknowledged byte — including a write made after a move streamed and
+// before the commit — reads back from the new placement and sits on every
+// new owner's backend.
+func TestSupervisorGracefulLeaveTCP(t *testing.T) {
+	nodes, sup := startCluster(t, []string{"a", "b", "c", "d"}, nil, 2, Config{
+		StepsPerTick: 1, // one move per tick so a write can land mid-transition
+	})
+	fl := dataFleet(t, sup)
+	model := fill(t, fl, 31)
+	tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
+
+	old := sup.Ring()
+	next, err := old.WithLeave("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := cluster.Moves(old, next)
+	if len(moves) < 2 {
+		t.Fatalf("leave yields %d moves; need 2+ for a mid-transition write", len(moves))
+	}
+	if err := sup.BeginLeave("c"); err != nil {
+		t.Fatal(err)
+	}
+	st := tickUntil(t, sup, 4, "first move", func(st Status) bool { return st.Pending < len(moves) })
+	if st.Phase != cluster.SupTransition || st.Epoch != 2 {
+		t.Fatalf("after the first move: %+v", st)
+	}
+
+	// The first move has streamed; the commit has not run. A write to its
+	// range reaches the new owner through the Cur∪Next chain.
+	mv := moves[0]
+	patch := bytes.Repeat([]byte{0xC3}, 1024)
+	off := int64(mv.Range)*tRangeBytes + 512
+	if err := fl.WriteAt(patch, off); err != nil {
+		t.Fatal(err)
+	}
+	copy(model[off:], patch)
+	if !bytes.Equal(backendRange(t, nodes[mv.Target], mv.Range), rangeSlice(model, mv.Range)) {
+		t.Fatalf("mid-transition write missed new owner %s of range %d", mv.Target, mv.Range)
+	}
+
+	st = tickUntil(t, sup, 30, "leave commit", func(st Status) bool {
+		return st.Phase == cluster.SupStable && len(st.Quarantined) == 0
+	})
+	if st.Epoch != 3 || st.Commits != 1 || st.Aborts != 0 {
+		t.Fatalf("leave did not commit at epoch 3: %+v", st)
+	}
+	if _, ok := sup.Ring().Member("c"); ok {
+		t.Fatal("leaver still in the committed ring")
+	}
+
+	fresh, err := fleet.New(sup.Ring(), dialOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	got := make([]byte, len(model))
+	if err := fresh.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, model) {
+		t.Fatal("post-leave read diverges from model")
+	}
+	for rng := 0; rng < tRanges; rng++ {
+		for _, id := range next.Owners(rng) {
+			if !bytes.Equal(backendRange(t, nodes[id], rng), rangeSlice(model, rng)) {
+				t.Fatalf("range %d on new owner %s diverges from model", rng, id)
+			}
+		}
 	}
 }

@@ -42,6 +42,15 @@ func (t *Table) WriteOwners(rng int) []string {
 	return owners
 }
 
+// Member looks id up in Cur, then Next — a joiner is addressable the
+// moment its transition table is pushed.
+func (t *Table) Member(id string) (Member, bool) {
+	if m, ok := t.Cur.Member(id); ok || t.Next == nil {
+		return m, ok
+	}
+	return t.Next.Member(id)
+}
+
 // writeOwned reports whether id is in rng's write set.
 func (t *Table) writeOwned(rng int, id string) bool {
 	for _, o := range t.WriteOwners(rng) {
