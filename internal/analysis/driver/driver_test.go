@@ -370,6 +370,29 @@ func TestHotpathSeedingRemoval(t *testing.T) {
 	}
 }
 
+// TestNetblockHotpathSeedingRemoval puts a per-request allocation back on
+// netblock's served path on a copy: the size op answering from a fresh
+// slice literal instead of the connection's reusable buffer. The
+// //srclint:hotpath root on Server.ServeConn must report exactly that
+// literal, once.
+func TestNetblockHotpathSeedingRemoval(t *testing.T) {
+	diags, fset := mutatePackage(t, "srccache/internal/netblock", "server.go",
+		"\t\tbuf := req.reuse(8)\n",
+		"\t\tbuf := []byte{0, 0, 0, 0, 0, 0, 0, 0}\n")
+	hotDiags := ofCategory(diags, "hotpath")
+	if len(hotDiags) != 1 {
+		t.Fatalf("want exactly 1 hotpath diagnostic after allocating the size reply, got %d (all: %v)",
+			len(hotDiags), diags)
+	}
+	posn := fset.Position(hotDiags[0].Pos)
+	if filepath.Base(posn.Filename) != "server.go" {
+		t.Errorf("diagnostic at %v, want in server.go", posn)
+	}
+	if !strings.Contains(hotDiags[0].Message, "slice composite literal") || !strings.Contains(hotDiags[0].Message, "ServeConn") {
+		t.Errorf("message does not name the allocation and its root: %s", hotDiags[0].Message)
+	}
+}
+
 // TestFactsDeterminism pins the modular-facts serialization: analyzing the
 // same package with its files in reversed order and its dependency
 // listing shuffled must produce byte-identical encoded facts. The CI facts

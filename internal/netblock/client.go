@@ -1,6 +1,7 @@
 package netblock
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,15 +40,18 @@ var ErrStaleEpoch = errors.New("netblock: " + StaleEpochText)
 type ClientOptions struct {
 	// DialTimeout bounds the TCP connect (0 = no bound).
 	DialTimeout time.Duration
-	// Timeout bounds each request round trip: the request write and the
-	// response read each get this deadline (0 = no bound). Applied only to
-	// connections that expose deadlines (net.Conn, net.Pipe).
+	// Timeout bounds each request round trip: one deadline covers the
+	// request write and the response read (0 = no bound). Applied only to
+	// connections that expose deadlines (net.Conn, net.Pipe). A timed-out
+	// round trip closes the connection, like any transport error.
 	Timeout time.Duration
 	// RetryLimit is how many times a transient failure — a timeout, a
 	// dropped connection — is retried after reconnecting. Remote errors
 	// (the server answered) are never retried. Dial-created clients
-	// reconnect between attempts; wrapped connections (NewClient) cannot,
-	// so their ops fail on the first transport error regardless.
+	// reconnect between attempts, and with no retries left they redial on
+	// the next call; wrapped connections (NewClient) cannot, so their ops
+	// fail on the first transport error regardless, and every later call
+	// reports that error.
 	RetryLimit int
 	// RetryBudget bounds the total elapsed time one operation may spend
 	// across all its attempts (0 = unbounded). RetryLimit alone bounds the
@@ -87,8 +91,23 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // Client is a synchronous remote block device over one connection. Methods
 // are safe for concurrent use (requests serialize on the connection).
 type Client struct {
-	mu   sync.Mutex
-	conn io.ReadWriteCloser
+	// mu serializes round trips and guards the framing state below it.
+	mu sync.Mutex
+	// br and bw buffer the live connection; both are nil while there is
+	// none, and rebuilt whenever the connection is replaced.
+	br *bufio.Reader
+	bw *bufio.Writer
+	dc deadliner // the live connection's deadlines, if it has them
+	// lost is a wrapped client's sticky failure: it cannot redial, so once
+	// a transport error has closed its connection every call reports it.
+	lost error
+
+	// cmu guards conn and closed. Close takes only cmu, so it can
+	// interrupt a round trip blocked on the connection.
+	cmu    sync.Mutex
+	conn   io.ReadWriteCloser
+	closed bool
+
 	size int64
 	opts ClientOptions
 	addr string // non-empty when the client can reconnect
@@ -106,59 +125,107 @@ func Dial(addr string) (*Client, error) {
 func DialOptions(addr string, o ClientOptions) (*Client, error) {
 	c := &Client{opts: o.withDefaults(), addr: addr}
 	c.rng = rand.New(rand.NewSource(c.opts.Seed))
-	start := c.opts.Now()
-	for attempt := 0; ; attempt++ {
-		conn, err := c.dial()
-		if err == nil {
-			c.conn = conn
-			payload, herr := c.attempt(opSize, 0, 0, nil)
-			if herr == nil {
-				if len(payload) != 8 {
-					conn.Close()
-					return nil, fmt.Errorf("%w: size payload %d bytes", ErrProtocol, len(payload))
-				}
-				c.size = int64(binary.BigEndian.Uint64(payload))
-				return c, nil
-			}
-			conn.Close()
-			c.conn = nil
-			err = herr
-			if !transient(err) {
-				return nil, err
-			}
-		}
-		if attempt >= c.opts.RetryLimit {
-			return nil, err
-		}
-		if berr := c.overBudget(start, err); berr != nil {
-			return nil, berr
-		}
-		c.backoff(attempt)
-	}
+	return c.handshake()
 }
 
 // NewClient wraps an established connection (e.g. one side of net.Pipe).
 func NewClient(conn io.ReadWriteCloser) (*Client, error) {
-	c := &Client{conn: conn, opts: ClientOptions{}.withDefaults()}
+	c := &Client{opts: ClientOptions{}.withDefaults()}
 	c.rng = rand.New(rand.NewSource(0))
-	payload, err := c.attempt(opSize, 0, 0, nil)
-	if err != nil {
-		conn.Close()
+	c.attach(conn)
+	return c.handshake()
+}
+
+// handshake fetches the volume size, closing the client if that fails.
+func (c *Client) handshake() (*Client, error) {
+	var size [8]byte
+	if err := c.roundTrip(opSize, 0, 0, nil, size[:]); err != nil {
+		c.Close()
 		return nil, err
 	}
-	if len(payload) != 8 {
-		conn.Close()
-		return nil, fmt.Errorf("%w: size payload %d bytes", ErrProtocol, len(payload))
-	}
-	c.size = int64(binary.BigEndian.Uint64(payload))
+	c.size = int64(binary.BigEndian.Uint64(size[:]))
 	return c, nil
 }
 
 // Size reports the remote volume size in bytes.
 func (c *Client) Size() int64 { return c.size }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the connection. A round trip in flight fails, and later
+// calls fail without redialing.
+func (c *Client) Close() error {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	c.closed = true
+	if c.conn == nil {
+		return nil
+	}
+	return c.conn.Close()
+}
+
+// attach makes conn the live connection with fresh buffers, so no byte
+// buffered from an earlier connection can be parsed on it. It reports
+// false, closing conn, when the client has been closed meanwhile. Callers
+// hold c.mu.
+func (c *Client) attach(conn io.ReadWriteCloser) bool {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	if c.closed {
+		conn.Close()
+		return false
+	}
+	c.conn = conn
+	c.br = bufio.NewReaderSize(conn, connBufSize)
+	c.bw = bufio.NewWriterSize(conn, connBufSize)
+	c.dc, _ = conn.(deadliner)
+	return true
+}
+
+// disconnect closes the live connection after a transport error: the
+// stream may hold a late or partial response, so it is never reused.
+// Callers hold c.mu.
+func (c *Client) disconnect(cause error) {
+	c.cmu.Lock()
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn = nil
+	}
+	c.cmu.Unlock()
+	c.br, c.bw, c.dc = nil, nil, nil
+	if c.addr == "" {
+		c.lost = fmt.Errorf("netblock: connection closed after transport error: %w", cause)
+	}
+}
+
+// connect gives the client a live connection, redialing when a transport
+// error closed the last one. Callers hold c.mu.
+func (c *Client) connect() error {
+	if c.br != nil {
+		return nil
+	}
+	if c.lost != nil {
+		return c.lost
+	}
+	if c.isClosed() {
+		return errClientClosed
+	}
+	conn, err := c.dial()
+	if err != nil {
+		return err
+	}
+	if !c.attach(conn) {
+		return errClientClosed
+	}
+	return nil
+}
+
+// errClientClosed reports a call on a client after Close.
+var errClientClosed = fmt.Errorf("netblock: client closed: %w", net.ErrClosed)
+
+func (c *Client) isClosed() bool {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	return c.closed
+}
 
 func (c *Client) dial() (net.Conn, error) {
 	if c.opts.DialTimeout > 0 {
@@ -201,61 +268,77 @@ func (c *Client) backoff(attempt int) {
 // roundTrip performs one operation, reconnecting and retrying transient
 // transport failures up to RetryLimit times. All protocol operations are
 // idempotent (same bytes at the same offset; barrier; size), so retrying
-// after an ambiguous failure is safe.
-func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload []byte) ([]byte, error) {
+// after an ambiguous failure is safe. A successful response's payload is
+// read into dst, which must be exactly its size.
+func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload, dst []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := c.opts.Now()
 	for attempt := 0; ; attempt++ {
-		resp, err := c.attempt(op, off, length, payload)
+		err := c.attempt(op, off, length, payload, dst)
 		if err == nil {
-			return resp, nil
+			return nil
 		}
-		if !transient(err) || c.addr == "" || attempt >= c.opts.RetryLimit {
-			return nil, err
+		if !transient(err) || c.addr == "" || attempt >= c.opts.RetryLimit || c.isClosed() {
+			return err
 		}
 		if berr := c.overBudget(start, err); berr != nil {
-			return nil, berr
+			return berr
 		}
 		c.backoff(attempt)
-		conn, derr := c.dial()
-		if derr != nil {
-			return nil, fmt.Errorf("reconnect after %v: %w", err, derr)
-		}
-		c.conn.Close()
-		c.conn = conn
 	}
 }
 
-// attempt sends one request and reads its response on the current
-// connection, applying the per-request deadlines when the transport
-// supports them. Callers hold c.mu (or have exclusive access during
-// setup).
-func (c *Client) attempt(op uint8, off uint64, length uint32, payload []byte) ([]byte, error) {
-	dc, _ := c.conn.(deadliner)
-	if dc != nil && c.opts.Timeout > 0 {
-		_ = dc.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
+// attempt sends one request and reads its response on the live connection,
+// dialing one first if needed, under a single deadline for the whole round
+// trip when the transport supports it. Any transport error closes the
+// connection. Callers hold c.mu.
+func (c *Client) attempt(op uint8, off uint64, length uint32, payload, dst []byte) error {
+	if err := c.connect(); err != nil {
+		return err
 	}
-	if err := writeRequest(c.conn, op, off, length, payload); err != nil {
-		return nil, err
+	err := c.exchange(op, off, length, payload, dst)
+	if transient(err) {
+		c.disconnect(err)
 	}
-	if dc != nil && c.opts.Timeout > 0 {
-		_ = dc.SetReadDeadline(time.Now().Add(c.opts.Timeout))
+	return err
+}
+
+// exchange is one request/response on the live connection: the request
+// leaves in one flush, and an OK response's payload is read straight into
+// dst.
+func (c *Client) exchange(op uint8, off uint64, length uint32, payload, dst []byte) error {
+	if c.dc != nil && c.opts.Timeout > 0 {
+		_ = c.dc.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	status, resp, err := readResponse(c.conn)
+	if err := writeRequest(c.bw, op, off, length, payload); err != nil {
+		return err
+	}
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	status, n, err := readResponseHeader(c.br)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if status != statusOK {
+		msg := make([]byte, n)
+		if _, err := io.ReadFull(c.br, msg); err != nil {
+			return err
+		}
 		// A stale-epoch refusal is still a remote answer (ErrRemote keeps
 		// the retry logic from pointlessly repeating the refusal), but it
 		// additionally carries the routing contract for callers to handle.
-		if strings.Contains(string(resp), StaleEpochText) {
-			return nil, fmt.Errorf("%w (%w): %s", ErrStaleEpoch, ErrRemote, resp)
+		if strings.Contains(string(msg), StaleEpochText) {
+			return fmt.Errorf("%w (%w): %s", ErrStaleEpoch, ErrRemote, msg)
 		}
-		return nil, fmt.Errorf("%w: %s", ErrRemote, resp)
+		return fmt.Errorf("%w: %s", ErrRemote, msg)
 	}
-	return resp, nil
+	if int(n) != len(dst) {
+		return fmt.Errorf("%w: response payload %d bytes, want %d", ErrProtocol, n, len(dst))
+	}
+	_, err = io.ReadFull(c.br, dst)
+	return err
 }
 
 func (c *Client) check(off int64, n int) error {
@@ -281,14 +364,10 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	if err := c.check(off, len(p)); err != nil {
 		return 0, err
 	}
-	resp, err := c.roundTrip(opRead, uint64(off), uint32(len(p)), nil)
-	if err != nil {
+	if err := c.roundTrip(opRead, uint64(off), uint32(len(p)), nil, p); err != nil {
 		return 0, err
 	}
-	if len(resp) != len(p) {
-		return 0, fmt.Errorf("%w: short read %d of %d", ErrProtocol, len(resp), len(p))
-	}
-	return copy(p, resp), nil
+	return len(p), nil
 }
 
 // WriteAt stores p at off. It implements io.WriterAt. A stale-routed
@@ -300,7 +379,7 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	if err := c.check(off, len(p)); err != nil {
 		return 0, err
 	}
-	if _, err := c.roundTrip(opWrite, uint64(off), uint32(len(p)), p); err != nil {
+	if err := c.roundTrip(opWrite, uint64(off), uint32(len(p)), p, nil); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -314,14 +393,12 @@ func (c *Client) Trim(off, n int64) error {
 	if err := c.check(off, int(n)); err != nil {
 		return err
 	}
-	_, err := c.roundTrip(opTrim, uint64(off), uint32(n), nil)
-	return err
+	return c.roundTrip(opTrim, uint64(off), uint32(n), nil, nil)
 }
 
 // Flush is a durability barrier.
 func (c *Client) Flush() error {
-	_, err := c.roundTrip(opFlush, 0, 0, nil)
-	return err
+	return c.roundTrip(opFlush, 0, 0, nil, nil)
 }
 
 // PingInfo is a ping response: the server's volume size, its advertised
@@ -336,12 +413,9 @@ type PingInfo struct {
 // liveness, and the payload carries the routing handshake (size, ring
 // epoch, drain state). Failure detectors also time this call.
 func (c *Client) Ping() (PingInfo, error) {
-	resp, err := c.roundTrip(opPing, 0, 0, nil)
-	if err != nil {
+	var resp [17]byte
+	if err := c.roundTrip(opPing, 0, 0, nil, resp[:]); err != nil {
 		return PingInfo{}, err
-	}
-	if len(resp) != 17 {
-		return PingInfo{}, fmt.Errorf("%w: ping payload %d bytes", ErrProtocol, len(resp))
 	}
 	return PingInfo{
 		Size:     int64(binary.BigEndian.Uint64(resp[0:])),

@@ -1,6 +1,7 @@
 package netblock
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -254,17 +255,20 @@ func handshakeOnlyListener(t *testing.T) net.Addr {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
+				sc := newServerConn(c)
 				for {
-					req, err := readRequest(c)
-					if err != nil {
+					if err := readRequest(sc.br, &sc.req); err != nil {
 						return
 					}
-					if req.op != opSize {
+					if sc.req.op != opSize {
 						continue // swallow: the client's deadline must fire
 					}
 					var buf [8]byte
 					binary.BigEndian.PutUint64(buf[:], 4096)
-					if err := writeResponse(c, statusOK, buf[:]); err != nil {
+					if err := writeResponse(sc.bw, statusOK, buf[:]); err != nil {
+						return
+					}
+					if err := sc.bw.Flush(); err != nil {
 						return
 					}
 				}
@@ -393,5 +397,152 @@ func TestClientOrdinaryRefusalIsNotStale(t *testing.T) {
 	}
 	if errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("ordinary refusal misclassified as stale epoch: %v", err)
+	}
+}
+
+// lateBackend answers its first read only after delay, long past the
+// client's timeout, and signals done when that read returns.
+type lateBackend struct {
+	Backend
+	delay time.Duration
+	first atomic.Bool
+	done  chan struct{}
+}
+
+func (b *lateBackend) ReadAt(p []byte, off int64) error {
+	if b.first.CompareAndSwap(false, true) {
+		time.Sleep(b.delay)
+		defer close(b.done)
+	}
+	return b.Backend.ReadAt(p, off)
+}
+
+// TestLateResponseNotReadAsNext is the regression test for a timed-out
+// request poisoning its connection: the server answers ReadAt(page 1)
+// after the client gave up, and that late response must never be taken
+// as the answer to the next ReadAt(page 2). A Dial client redials and
+// reads page 2; a wrapped client cannot redial and fails from then on.
+func TestLateResponseNotReadAsNext(t *testing.T) {
+	const page = 4096
+	newServer := func(t *testing.T) (*Server, *lateBackend) {
+		mem, err := MemBackend(4 * page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := byte(1); i <= 2; i++ {
+			if err := mem.WriteAt(bytes.Repeat([]byte{i}, page), int64(i)*page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lb := &lateBackend{Backend: mem, delay: 150 * time.Millisecond, done: make(chan struct{})}
+		srv, err := NewServerWith(lb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, lb
+	}
+	// readTwice times out reading page 1, waits until the server has
+	// produced its late answer, then reads page 2.
+	readTwice := func(t *testing.T, cli *Client, lb *lateBackend) (p []byte, first, second error) {
+		p = make([]byte, page)
+		if _, first = cli.ReadAt(p, page); first == nil {
+			t.Fatal("read of page 1 beat the 50ms timeout")
+		}
+		<-lb.done
+		time.Sleep(20 * time.Millisecond) // let the late response reach the client
+		_, second = cli.ReadAt(p, 2*page)
+		return p, first, second
+	}
+
+	t.Run("dial", func(t *testing.T) {
+		srv, lb := newServer(t)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cli, err := DialOptions(addr.String(), ClientOptions{Timeout: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		p, _, err := readTwice(t, cli, lb)
+		if err != nil {
+			t.Fatalf("read of page 2 after a timeout: %v", err)
+		}
+		if !bytes.Equal(p, bytes.Repeat([]byte{2}, page)) {
+			t.Fatalf("read of page 2 returned bytes starting %v", p[:8])
+		}
+	})
+
+	t.Run("wrapped", func(t *testing.T) {
+		srv, lb := newServer(t)
+		a, b := net.Pipe()
+		go func() { _ = srv.ServeConn(a) }()
+		cli, err := NewClient(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		cli.opts.Timeout = 50 * time.Millisecond
+		p, first, err := readTwice(t, cli, lb)
+		if err == nil {
+			t.Fatalf("wrapped client answered page 2 with bytes starting %v after losing its connection", p[:8])
+		}
+		if !errors.Is(err, first) {
+			t.Fatalf("second read = %v, want the sticky failure of the first (%v)", err, first)
+		}
+	})
+}
+
+// TestClientCloseDuringRoundTrips shares one redialing client among
+// several goroutines and closes it under them: every round trip in flight
+// or started afterwards fails with net.ErrClosed, and none redials.
+func TestClientCloseDuringRoundTrips(t *testing.T) {
+	srv, err := NewServer(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := DialOptions(addr.String(), ClientOptions{RetryLimit: 2, RetryDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	var served atomic.Int64
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			p := bytes.Repeat([]byte{byte(w)}, 4096)
+			for {
+				if _, err := cli.WriteAt(p, int64(w)*4096); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := cli.ReadAt(p, int64(w)*4096); err != nil {
+					errs <- err
+					return
+				}
+				served.Add(1)
+			}
+		}(w)
+	}
+	for served.Load() < 100 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; !errors.Is(err, net.ErrClosed) {
+			t.Errorf("round trip ended by Close = %v, want net.ErrClosed", err)
+		}
+	}
+	if _, err := cli.ReadAt(make([]byte, 1), 0); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("read after Close = %v, want net.ErrClosed", err)
 	}
 }
